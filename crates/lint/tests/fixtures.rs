@@ -111,8 +111,7 @@ fn rng_containment_rule_fixtures() {
         "{}",
         pos.render()
     );
-    // The identical source in a sanctioned module is the blessed
-    // `plan::shot_seed` pattern.
+    // The identical source in a sanctioned module is allowed.
     let neg = lint_fixture("rng-containment", "negative", "crates/sim/src/noise.rs");
     assert!(neg.is_clean(), "{}", neg.render());
 

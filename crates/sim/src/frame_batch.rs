@@ -2,10 +2,12 @@
 //!
 //! The serial sampler in [`crate::pauli_frame`] propagates one frame
 //! per shot. This engine packs the frames of 64 shots into one `u64`
-//! *bit-plane per qubit* (`fx[q]`/`fz[q]`, bit `j` = shot-lane `j`)
-//! and conjugates all 64 frames per gate with a handful of word-wide
-//! XOR/AND operations — the standard Stim-style batching that turns
-//! the per-gate cost from O(shots) into O(shots/64).
+//! *bit-plane per qubit* (bit `j` = shot-lane `j`) and conjugates all
+//! 64 frames per gate with a handful of word-wide XOR/AND operations —
+//! the standard Stim-style batching that turns the per-gate cost from
+//! O(shots) into O(shots/64). Shots run in cache-blocked strips of
+//! [`STRIP_WORDS`] words, so the per-op walk is paid once per
+//! [`STRIP_SHOTS`] shots.
 //!
 //! ## Why the counts are bit-identical to the serial engine
 //!
@@ -19,27 +21,28 @@
 //! Noise needs per-shot randomness, and here the two serial-path
 //! invariants pay off:
 //!
-//! * shot `i`'s RNG is seeded by [`crate::plan::shot_seed`]`(seed, i)`
-//!   alone, so lane `j` of batch `b` re-creates the identical stream
-//!   the serial engine uses for shot `64·b + j`;
+//! * every draw is a pure hash of `(seed, shot, site)` (see
+//!   [`crate::plan::shot_key`] and [`crate::plan::site_draw`]), with
+//!   the site naming the draw's structural location, so lane `j` of
+//!   word `w` reproduces the serial engine's shot `64·w + j` no matter
+//!   in which order — or how many at a time — the draws are made;
 //! * the pending Z/ZZ banks are RNG-*independent* (the stochastic
 //!   rate multiplies the signed time only at flush), so the entire
 //!   bank evolution is precomputed **once per plan** into a linear
-//!   [`BatchOp`] program. At run time a batch walks that program and
-//!   makes, per lane, exactly the draws the serial sampler makes per
-//!   shot, in the same order — Bernoulli masks are assembled one lane
-//!   bit at a time and applied to the planes word-wise.
+//!   [`BatchOp`] program with per-noise-code threshold tables. At run
+//!   time a strip hashes every noise decision into a mask buffer, then
+//!   replays the program as straight-line word arithmetic over it.
 //!
 //! The result: classical counts are bit-for-bit equal to
 //! [`crate::StabilizerEngine`] for any seed, any shot count (tail
-//! batches simply run fewer lanes), and any worker-thread count
-//! (batches are independent; expectation sums are reduced in batch
+//! strips simply run fewer lanes), and any worker-thread count
+//! (strips are independent; expectation sums are reduced in strip
 //! order, and each shot contributes an integer ±1, so even the f64
 //! accumulations are exact).
 //!
 //! Classical feed-forward batches too: a conditional gate becomes a
 //! lane-masked [`BatchOp::CondGate`] whose per-lane firing decision
-//! is read from the lane's packed classical key and XOR-ed against
+//! is read from the lane's classical-bit plane and XOR-ed against
 //! the shared reference run's — the serial engine's exact rule,
 //! evaluated 64 shots at a time — while conditional *diagonal*
 //! rotations compile away entirely into the precomputed banks.
@@ -47,34 +50,31 @@
 use crate::error::SimError;
 use crate::executor::Simulator;
 use crate::insert::InsertionSet;
-use crate::noise::{damping_prob, dephasing_prob, t_phi_us, ShotNoise};
+use crate::noise::{damping_prob, dephasing_prob, t_phi_us};
 use crate::pauli_frame::{FramePlan, ItemOp};
 use crate::plan::{
     bern_theta, bern_threshold, damping_thresholds, fair_plane, lattice_idx, lattice_value,
-    lt_mask, lt_masks, map_batches, pick, plane, shot_key, shot_seed, site, site_draw,
-    worker_count, PlanOp, SeedSchedule, LATTICE_STEPS,
+    lt_mask, lt_masks, map_batches, pick, plane, shot_key, site, site_draw, worker_count, PlanOp,
+    ShotParams, LATTICE_STEPS,
 };
 use crate::result::{PauliFlips, RunResult};
 use crate::stabilizer::pauli_to_bits;
 use ca_circuit::clifford::Table2Q;
 use ca_circuit::pauli::{Pauli, PauliString};
 use ca_circuit::{Gate, ScheduledCircuit};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Shot-lanes per batch word.
 pub const LANES: usize = 64;
 
-/// Words per cache-blocked strip of the v2 runner: the schedule-v2
-/// path walks the program once per `[u64; 4]` strip (256 shot-lanes),
-/// quartering the per-op walk overhead relative to single-word
-/// batches while the working set (four planes per touched qubit)
-/// stays cache-resident.
+/// Words per cache-blocked strip: the runner walks the program once
+/// per `[u64; 4]` strip (256 shot-lanes), quartering the per-op walk
+/// overhead relative to single-word batches while the working set
+/// (four planes per touched qubit) stays cache-resident.
 pub const STRIP_WORDS: usize = 4;
 
-/// Shots per v2 strip.
+/// Shots per strip.
 pub const STRIP_SHOTS: usize = STRIP_WORDS * LANES;
 
 /// The GF(2) symplectic action of a 1q Clifford on one qubit's
@@ -202,36 +202,29 @@ impl Symp2 {
 struct FlushEdge {
     a: usize,
     b: usize,
-    /// Plan edge index — the v2 site unit (`FLUSH_ZZ` draws are
+    /// Plan edge index — the site unit (`FLUSH_ZZ` draws are
     /// addressed per edge, not per qubit).
     e: usize,
-    /// `sin²(θ/2)`, consumed by the legacy per-lane draw.
-    p: f64,
-    /// `bern_theta(θ)` — the v2 ladder threshold for the same draw.
+    /// `bern_theta(θ)` — the ladder threshold of the flip draw.
     t: u64,
 }
 
 /// One step of the precompiled batch program. The sequence of ops —
 /// and the draws each op makes per lane — mirrors the serial
-/// sampler's per-shot control flow exactly. Under seed-schedule v1
-/// that means the *stream positions* line up; under v2 each op
-/// instead carries its plan-op index `op`, which addresses the
-/// counter-based draws by structural site so the walk order stops
-/// mattering altogether.
+/// sampler's per-shot control flow exactly. Each op carries its
+/// plan-op index `op`, which addresses the counter-based draws by
+/// structural site, so the walk order does not matter.
 enum BatchOp {
     /// A twirl-flush point for qubit `q`.
     Flush {
         q: usize,
-        /// Plan-op index of this flush (v2 site addressing). The
-        /// final end-of-circuit flushes use `plan.ops.len()`.
+        /// Plan-op index of this flush (site addressing). The final
+        /// end-of-circuit flushes use `plan.ops.len()`.
         op: usize,
-        /// Deterministic bank phase and signed time at this flush;
-        /// absent when both are exactly zero (no draw on any lane,
-        /// matching the serial `|θ| > ε` gate).
-        bank: Option<(f64, f64)>,
-        /// v2 bank thresholds by per-lane noise code
-        /// (`slot · 33 + lattice index`, see [`BatchPlan::bank_table`]);
-        /// present exactly when `bank` is.
+        /// Bank-flip thresholds by per-lane noise code
+        /// (`slot · 33 + lattice index`, see [`bank_table`]); absent
+        /// when the deterministic bank phase and signed time are both
+        /// exactly zero (no draw on any lane).
         table: Option<Arc<[u64]>>,
         /// Compile-assigned index of this flush's distinct
         /// `(qubit, table)` pair, so the sampling pass caches one
@@ -300,7 +293,7 @@ enum BatchOp {
 }
 
 impl BatchOp {
-    /// The qubit whose v2 sites key every draw this op makes — the
+    /// The qubit whose sites key every draw this op makes — the
     /// shard owning this qubit samples this op (see [`crate::shard`]).
     /// A 2q gate's hit/selector sites address its first qubit only;
     /// flush edge draws are keyed by plan edge id, and each edge id is
@@ -349,12 +342,7 @@ pub struct BatchPlan {
     pub(crate) frame: FramePlan,
     ops: Vec<BatchOp>,
     n: usize,
-    /// Words of the *serial* frame layout (`ceil(n/64)`): the initial
-    /// Z randomization must consume exactly this many `u64` draws per
-    /// lane to stay stream-compatible with the serial engine (v1
-    /// schedule only — v2 draws are position-free).
-    serial_words: usize,
-    /// Whether any flush carries a v2 bank table — only then does the
+    /// Whether any flush carries a bank table — only then does the
     /// strip runner hash out per-lane noise codes.
     needs_codes: bool,
     /// Count of distinct `(qubit, table)` flush pairs (see
@@ -366,12 +354,12 @@ pub struct BatchPlan {
     noise_stride: usize,
 }
 
-/// v2 bank-flush thresholds for every per-lane noise code: code
+/// Bank-flush thresholds for every per-lane noise code: code
 /// `slot · LATTICE_STEPS + idx` holds
 /// `bern_theta(stat + phase_rad(sign · δ + lattice(idx) · σ, time))`
 /// with `sign = [0, +1, −1][slot]` — the exact f64 expression the
-/// serial sampler evaluates from [`ShotNoise::sample_v2`] +
-/// [`ShotNoise::z_rate_khz`], so both engines compare identical hash
+/// serial sampler evaluates from [`crate::ShotNoise::sample_v2`] +
+/// [`crate::ShotNoise::z_rate_khz`], so both engines compare identical hash
 /// words against identical thresholds. `cp`/`qk` are the *gated*
 /// per-qubit rates (0.0 when the channel is off), mirroring the
 /// sampler's gating bit for bit.
@@ -455,15 +443,10 @@ impl BatchPlan {
                           tables: &mut BTreeMap<TableKey, Arc<[u64]>>,
                           ops: &mut Vec<BatchOp>| {
             let cal = &sim.device.calibration.qubits[q];
-            let bank = if stat[q] != 0.0 || time[q] != 0.0 {
-                let b = (stat[q], time[q]);
+            let table = (stat[q] != 0.0 || time[q] != 0.0).then(|| {
+                let (s, t) = (stat[q], time[q]);
                 stat[q] = 0.0;
                 time[q] = 0.0;
-                Some(b)
-            } else {
-                None
-            };
-            let table = bank.map(|(s, t)| {
                 let cp = if config.charge_parity && cal.charge_parity_khz > 0.0 {
                     cal.charge_parity_khz
                 } else {
@@ -489,7 +472,6 @@ impl BatchPlan {
                         a,
                         b,
                         e,
-                        p: (th / 2.0).sin().powi(2),
                         t: bern_theta(th),
                     });
                 }
@@ -504,11 +486,10 @@ impl BatchPlan {
             } else {
                 None
             };
-            if bank.is_some() || !edges.is_empty() || deco.is_some() {
+            if table.is_some() || !edges.is_empty() || deco.is_some() {
                 ops.push(BatchOp::Flush {
                     q,
                     op: op_i,
-                    bank,
                     table,
                     tslot: 0,
                     edges,
@@ -791,7 +772,6 @@ impl BatchPlan {
         }
         let noise_stride = n + ops.iter().map(BatchOp::words_per_w).sum::<usize>();
         Self {
-            serial_words: frame.words,
             frame,
             ops,
             n,
@@ -801,294 +781,7 @@ impl BatchPlan {
         }
     }
 
-    /// Runs one batch of `active ≤ 64` shot-lanes starting at global
-    /// shot index `base`, applying any per-shot Pauli insertions in
-    /// `ins`. Returns the final bit-planes and the per-lane classical
-    /// keys.
-    fn run_batch(
-        &self,
-        sim: &Simulator,
-        seed: u64,
-        base: usize,
-        active: usize,
-        ins: &InsertionSet,
-    ) -> BatchOut {
-        let n = self.n;
-        // Phase attribution (sampling vs propagation) reads only the
-        // clock and is inert when observability is off — the RNG
-        // streams and frame state are untouched at every CA_OBS level.
-        let mut phase = crate::obs_util::PhaseTimer::start();
-        let mut fx = vec![0u64; n];
-        let mut fz = vec![0u64; n];
-        // Per-lane stochastic Z rates, laid out `[q][lane]` so flush
-        // events read contiguously.
-        let mut rates = vec![0.0f64; n * LANES];
-        let mut keys = [0u64; LANES];
-
-        // Per-lane RNG streams: identical to serial shots base+j.
-        let mut rngs: Vec<StdRng> = (0..active)
-            .map(|j| StdRng::seed_from_u64(shot_seed(seed, base + j)))
-            .collect();
-
-        // Shot-start draws, in serial order per lane: stochastic-rate
-        // sample, then initial Z-frame randomization.
-        for (j, rng) in rngs.iter_mut().enumerate() {
-            let shot = ShotNoise::sample(&sim.device, &sim.config, rng);
-            for q in 0..n {
-                rates[q * LANES + j] = shot.z_rate_khz(&sim.device, q);
-            }
-            let bit = 1u64 << j;
-            for w in 0..self.serial_words {
-                let bits_here = (n - w * 64).min(64);
-                let mask = if bits_here == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << bits_here) - 1
-                };
-                let r = rng.random::<u64>() & mask;
-                for q in w * 64..w * 64 + bits_here {
-                    if r >> (q % 64) & 1 == 1 {
-                        fz[q] |= bit;
-                    }
-                }
-            }
-        }
-        phase.tick_sampling();
-
-        for op in &self.ops {
-            match op {
-                BatchOp::Flush {
-                    q,
-                    bank,
-                    edges,
-                    deco,
-                    ..
-                } => {
-                    let q = *q;
-                    if let Some((stat, time)) = bank {
-                        let mut zm = 0u64;
-                        for (j, rng) in rngs.iter_mut().enumerate() {
-                            let theta = stat + ca_device::phase_rad(rates[q * LANES + j], *time);
-                            if theta.abs() > 1e-15
-                                && rng.random::<f64>() < (theta / 2.0).sin().powi(2)
-                            {
-                                zm |= 1 << j;
-                            }
-                        }
-                        fz[q] ^= zm;
-                    }
-                    for &FlushEdge { a, b, p, .. } in edges {
-                        let mut zm = 0u64;
-                        for (j, rng) in rngs.iter_mut().enumerate() {
-                            if rng.random::<f64>() < p {
-                                zm |= 1 << j;
-                            }
-                        }
-                        fz[a] ^= zm;
-                        fz[b] ^= zm;
-                    }
-                    if let Some((gamma, p_z)) = deco {
-                        if *gamma > 0.0 {
-                            let mut xm = 0u64;
-                            let mut zm = 0u64;
-                            for (j, rng) in rngs.iter_mut().enumerate() {
-                                let r: f64 = rng.random();
-                                if r < gamma / 4.0 {
-                                    xm |= 1 << j;
-                                } else if r < gamma / 2.0 {
-                                    xm |= 1 << j;
-                                    zm |= 1 << j;
-                                } else if r < 3.0 * gamma / 4.0 {
-                                    zm |= 1 << j;
-                                }
-                            }
-                            fx[q] ^= xm;
-                            fz[q] ^= zm;
-                        }
-                        if *p_z > 0.0 {
-                            let mut zm = 0u64;
-                            for (j, rng) in rngs.iter_mut().enumerate() {
-                                if rng.random::<f64>() < *p_z {
-                                    zm |= 1 << j;
-                                }
-                            }
-                            fz[q] ^= zm;
-                        }
-                    }
-                    phase.tick_sampling();
-                }
-                BatchOp::Gate1 { q, m, err_p, .. } => {
-                    let q = *q;
-                    let (nx, nz) = m.apply(fx[q], fz[q]);
-                    fx[q] = nx;
-                    fz[q] = nz;
-                    phase.tick_propagation();
-                    if *err_p > 0.0 {
-                        let mut xm = 0u64;
-                        let mut zm = 0u64;
-                        for (j, rng) in rngs.iter_mut().enumerate() {
-                            if rng.random::<f64>() < *err_p {
-                                let k = rng.random_range(0..3usize);
-                                let (x, z) = pauli_to_bits([Pauli::X, Pauli::Y, Pauli::Z][k]);
-                                if x {
-                                    xm |= 1 << j;
-                                }
-                                if z {
-                                    zm |= 1 << j;
-                                }
-                            }
-                        }
-                        fx[q] ^= xm;
-                        fz[q] ^= zm;
-                        phase.tick_sampling();
-                    }
-                }
-                BatchOp::Gate2 { a, b, m, err_p, .. } => {
-                    let (a, b) = (*a, *b);
-                    let out = m.apply([fx[a], fz[a], fx[b], fz[b]]);
-                    fx[a] = out[0];
-                    fz[a] = out[1];
-                    fx[b] = out[2];
-                    fz[b] = out[3];
-                    phase.tick_propagation();
-                    if *err_p > 0.0 {
-                        let mut xa = 0u64;
-                        let mut za = 0u64;
-                        let mut xb = 0u64;
-                        let mut zb = 0u64;
-                        for (j, rng) in rngs.iter_mut().enumerate() {
-                            if rng.random::<f64>() < *err_p {
-                                let k = rng.random_range(1..16usize);
-                                let (x1, z1) = pauli_to_bits(Pauli::from_index(k % 4));
-                                let (x2, z2) = pauli_to_bits(Pauli::from_index(k / 4));
-                                let bit = 1u64 << j;
-                                if x1 {
-                                    xa |= bit;
-                                }
-                                if z1 {
-                                    za |= bit;
-                                }
-                                if x2 {
-                                    xb |= bit;
-                                }
-                                if z2 {
-                                    zb |= bit;
-                                }
-                            }
-                        }
-                        fx[a] ^= xa;
-                        fz[a] ^= za;
-                        fx[b] ^= xb;
-                        fz[b] ^= zb;
-                        phase.tick_sampling();
-                    }
-                }
-                BatchOp::Measure {
-                    q,
-                    reference,
-                    clbit,
-                    readout,
-                    ..
-                } => {
-                    let q = *q;
-                    let mut new_z = 0u64;
-                    for (j, rng) in rngs.iter_mut().enumerate() {
-                        let bit = 1u64 << j;
-                        let mut outcome = reference ^ (fx[q] & bit != 0);
-                        if let Some(p) = readout {
-                            if rng.random::<f64>() < *p {
-                                outcome = !outcome;
-                            }
-                        }
-                        if let Some(c) = clbit {
-                            if *c < 64 {
-                                if outcome {
-                                    keys[j] |= 1 << c;
-                                } else {
-                                    keys[j] &= !(1 << c);
-                                }
-                            }
-                        }
-                        if rng.random::<bool>() {
-                            new_z |= bit;
-                        }
-                    }
-                    fz[q] = new_z;
-                    phase.tick_sampling();
-                }
-                BatchOp::Reset { q, .. } => {
-                    let q = *q;
-                    let mut new_z = 0u64;
-                    for (j, rng) in rngs.iter_mut().enumerate() {
-                        if rng.random::<bool>() {
-                            new_z |= 1 << j;
-                        }
-                    }
-                    fx[q] = 0;
-                    fz[q] = new_z;
-                    phase.tick_sampling();
-                }
-                BatchOp::CondGate {
-                    q,
-                    x,
-                    z,
-                    clbit,
-                    value,
-                    ref_fired,
-                    err_p,
-                    ..
-                } => {
-                    let q = *q;
-                    let mut xm = 0u64;
-                    let mut zm = 0u64;
-                    for (j, rng) in rngs.iter_mut().enumerate() {
-                        let bit = 1u64 << j;
-                        let fired = (keys[j] >> clbit & 1 == 1) == *value;
-                        if fired != *ref_fired {
-                            if *x {
-                                xm ^= bit;
-                            }
-                            if *z {
-                                zm ^= bit;
-                            }
-                        }
-                        if *err_p > 0.0 && fired && rng.random::<f64>() < *err_p {
-                            let k = rng.random_range(0..3usize);
-                            let (ex, ez) = pauli_to_bits([Pauli::X, Pauli::Y, Pauli::Z][k]);
-                            if ex {
-                                xm ^= bit;
-                            }
-                            if ez {
-                                zm ^= bit;
-                            }
-                        }
-                    }
-                    fx[q] ^= xm;
-                    fz[q] ^= zm;
-                    phase.tick_propagation();
-                }
-                BatchOp::Anchor { item } => {
-                    for &(shot, q, p) in ins.in_shot_range(*item, base, base + active) {
-                        let bit = 1u64 << (shot - base);
-                        let (x, z) = pauli_to_bits(p);
-                        if x {
-                            fx[q] ^= bit;
-                        }
-                        if z {
-                            fz[q] ^= bit;
-                        }
-                    }
-                    phase.tick_propagation();
-                }
-            }
-        }
-        phase.finish();
-        ca_obs::counter_add("engine.batches", 1);
-        ca_obs::counter_add("engine.shots", active as u64);
-        BatchOut { fx, fz, keys }
-    }
-
-    /// The v2 sampling pass for qubits `q_lo..q_hi`: hashes the
+    /// The sampling pass for qubits `q_lo..q_hi`: hashes the
     /// range's initial-Z planes and the noise-mask words of every
     /// program op *owned* by a qubit in the range (see
     /// [`BatchOp::owner`]) into `out`, in program order. Called once
@@ -1414,15 +1107,14 @@ impl BatchPlan {
         }
     }
 
-    /// Runs one seed-schedule-v2 strip of `active ≤ STRIP_SHOTS`
+    /// Runs one strip of `active ≤ STRIP_SHOTS`
     /// shot-lanes starting at global shot index `base` (a multiple of
     /// [`STRIP_SHOTS`]): `wc = ceil(active/64)` bit-plane words per
     /// qubit walk the program together, so the per-op dispatch cost is
     /// paid once per 256 shots instead of once per 64.
     ///
     /// Every decision is a counter-based hash of `(seed, shot, site)`
-    /// — the identical pure function the serial sampler's v2 path
-    /// evaluates — so lane `j` of strip word `w` reproduces shot
+    /// — the identical pure function the serial sampler evaluates — so lane `j` of strip word `w` reproduces shot
     /// `base + 64·w + j` bit-for-bit regardless of walk order, worker
     /// count, or tail occupancy. Order-independence makes the whole
     /// strip two clean passes: a *sampling* pass hashes every noise
@@ -1687,60 +1379,60 @@ impl BatchPlan {
         StripOut { fx, fz, keys, wc }
     }
 
-    /// Shot-sampled classical counts over this prepared plan.
-    /// `cancel` is polled at the start of every batch strip: each
-    /// strip closure returns `Result`, and the first error in strip
-    /// order aborts the whole run with no partial counts.
-    pub(crate) fn counts(
+    /// The strip fan-out behind every entry point: splits the run
+    /// into [`STRIP_SHOTS`]-shot strips, decides the qubit-shard count
+    /// once, polls `cancel` at the start of every strip, runs it, and
+    /// hands the finished strip and its active lane count to `reduce`
+    /// (timed as the reduction phase). Reductions come back in strip
+    /// order whatever the worker count, so a caller's merge — f64 sums
+    /// included — is bit-identical across worker counts. The first
+    /// error in strip order aborts the whole run with no partial
+    /// result.
+    fn map_strips<Out: Send>(
         &self,
         sim: &Simulator,
         ins: &InsertionSet,
-        params: crate::plan::ShotParams<'_>,
-    ) -> Result<RunResult, SimError> {
-        let crate::plan::ShotParams {
+        params: ShotParams<'_>,
+        reduce: impl Fn(&StripOut, usize) -> Out + Sync,
+    ) -> Result<Vec<Out>, SimError> {
+        let ShotParams {
             shots,
             seed,
             workers,
             cancel,
         } = params;
-        let nbits = self.frame.sc.num_clbits;
-        let parts = if sim.schedule == SeedSchedule::V2 {
-            let strips = shots.div_ceil(STRIP_SHOTS);
-            let shards =
-                crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
-            map_batches(strips, workers, |s| -> Result<_, SimError> {
-                crate::cancel::check_opt(cancel)?;
-                let base = s * STRIP_SHOTS;
-                let active = STRIP_SHOTS.min(shots - base);
-                let out = self.run_strip(sim, seed, base, active, ins, shards);
-                Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    let mut counts = BTreeMap::new();
-                    for &key in out.keys.iter().take(active) {
-                        *counts.entry(key).or_insert(0usize) += 1;
-                    }
-                    counts
-                }))
-            })
-        } else {
-            let batches = shots.div_ceil(LANES);
-            map_batches(batches, workers, |b| -> Result<_, SimError> {
-                crate::cancel::check_opt(cancel)?;
-                let base = b * LANES;
-                let active = LANES.min(shots - base);
-                let out = self.run_batch(sim, seed, base, active, ins);
-                Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    let mut counts = BTreeMap::new();
-                    for &key in out.keys.iter().take(active) {
-                        *counts.entry(key).or_insert(0usize) += 1;
-                    }
-                    counts
-                }))
-            })
-        }
+        let strips = shots.div_ceil(STRIP_SHOTS);
+        let shards = crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
+        map_batches(strips, workers, |s| -> Result<Out, SimError> {
+            crate::cancel::check_opt(cancel)?;
+            let base = s * STRIP_SHOTS;
+            let active = STRIP_SHOTS.min(shots - base);
+            let out = self.run_strip(sim, seed, base, active, ins, shards);
+            Ok(crate::obs_util::time_engine_phase("reduction", || {
+                reduce(&out, active)
+            }))
+        })
         .into_iter()
-        .collect::<Result<Vec<_>, SimError>>()?;
+        .collect()
+    }
+
+    /// Shot-sampled classical counts over this prepared plan.
+    /// `cancel` is polled at the start of every strip.
+    pub(crate) fn counts(
+        &self,
+        sim: &Simulator,
+        ins: &InsertionSet,
+        params: ShotParams<'_>,
+    ) -> Result<RunResult, SimError> {
+        let parts = self.map_strips(sim, ins, params, |out, active| {
+            let mut counts = BTreeMap::new();
+            for &key in out.keys.iter().take(active) {
+                *counts.entry(key).or_insert(0usize) += 1;
+            }
+            counts
+        })?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            RunResult::from_parts(shots, nbits, parts)
+            RunResult::from_parts(params.shots, self.frame.sc.num_clbits, parts)
         }))
     }
 
@@ -1768,83 +1460,29 @@ impl BatchPlan {
     }
 
     /// Frame-averaged Pauli expectations over this prepared plan.
-    /// `cancel` is polled at the start of every batch strip.
+    /// `cancel` is polled at the start of every strip.
     pub(crate) fn expectations(
         &self,
         sim: &Simulator,
         paulis: &[PauliString],
         ins: &InsertionSet,
-        params: crate::plan::ShotParams<'_>,
+        params: ShotParams<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        let crate::plan::ShotParams {
-            shots,
-            seed,
-            workers,
-            cancel,
-        } = params;
         let prepared = self.prepare_observables(paulis);
-        let partials: Vec<Vec<f64>> = if sim.schedule == SeedSchedule::V2 {
-            let strips = shots.div_ceil(STRIP_SHOTS);
-            let shards =
-                crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
-            map_batches(strips, workers, |s| -> Result<Vec<f64>, SimError> {
-                crate::cancel::check_opt(cancel)?;
-                let base = s * STRIP_SHOTS;
-                let active = STRIP_SHOTS.min(shots - base);
-                let out = self.run_strip(sim, seed, base, active, ins, shards);
-                Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    prepared
-                        .iter()
-                        .map(|(r, support)| {
-                            if *r == 0 {
-                                return 0.0;
-                            }
-                            let mut sum = 0i64;
-                            for w in 0..out.wc {
-                                let aw = LANES.min(active - w * LANES);
-                                let mask = if aw == LANES {
-                                    u64::MAX
-                                } else {
-                                    (1u64 << aw) - 1
-                                };
-                                let parity = strip_parity(&out, w, support);
-                                let flips = (parity & mask).count_ones() as i64;
-                                sum += aw as i64 - 2 * flips;
-                            }
-                            (*r as i64 * sum) as f64
-                        })
-                        .collect()
-                }))
-            })
-        } else {
-            let batches = shots.div_ceil(LANES);
-            map_batches(batches, workers, |b| -> Result<Vec<f64>, SimError> {
-                crate::cancel::check_opt(cancel)?;
-                let base = b * LANES;
-                let active = LANES.min(shots - base);
-                let out = self.run_batch(sim, seed, base, active, ins);
-                Ok(crate::obs_util::time_engine_phase("reduction", || {
-                    let lane_mask = if active == LANES {
-                        u64::MAX
-                    } else {
-                        (1u64 << active) - 1
-                    };
-                    prepared
-                        .iter()
-                        .map(|(r, support)| {
-                            if *r == 0 {
-                                return 0.0;
-                            }
-                            let parity = support_parity(&out, support);
-                            let flips = (parity & lane_mask).count_ones() as i64;
-                            (*r as i64 * (active as i64 - 2 * flips)) as f64
-                        })
-                        .collect()
-                }))
-            })
-        }
-        .into_iter()
-        .collect::<Result<Vec<_>, SimError>>()?;
+        let partials: Vec<Vec<f64>> = self.map_strips(sim, ins, params, |out, active| {
+            prepared
+                .iter()
+                .map(|(r, support)| {
+                    if *r == 0 {
+                        return 0.0;
+                    }
+                    let flips: i64 = (0..out.wc)
+                        .map(|w| out.parity(w, active, support).count_ones() as i64)
+                        .sum();
+                    (*r as i64 * (active as i64 - 2 * flips)) as f64
+                })
+                .collect()
+        })?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
             let mut out = vec![0.0; paulis.len()];
             for part in partials {
@@ -1853,106 +1491,45 @@ impl BatchPlan {
                 }
             }
             for o in &mut out {
-                *o /= shots as f64;
+                *o /= params.shots as f64;
             }
             out
         }))
     }
 
-    /// Per-shot ±1 outcomes over this prepared plan: batch `b`'s
-    /// masked parity word *is* word `b` of the shot bitvector, so the
-    /// result is assembled with no per-shot work at all. `cancel` is
-    /// polled at the start of every batch strip.
+    /// Per-shot ±1 outcomes over this prepared plan: strip word `w`'s
+    /// masked parity word *is* word `w` of the strip's slice of the
+    /// shot bitvector, so the result is assembled with no per-shot
+    /// work at all. `cancel` is polled at the start of every strip.
     pub(crate) fn flips(
         &self,
         sim: &Simulator,
         paulis: &[PauliString],
         ins: &InsertionSet,
-        params: crate::plan::ShotParams<'_>,
+        params: ShotParams<'_>,
     ) -> Result<PauliFlips, SimError> {
-        let crate::plan::ShotParams {
-            shots,
-            seed,
-            workers,
-            cancel,
-        } = params;
         let prepared = self.prepare_observables(paulis);
-        let words = shots.div_ceil(LANES);
-        if sim.schedule == SeedSchedule::V2 {
-            let strips = shots.div_ceil(STRIP_SHOTS);
-            let shards =
-                crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
-            let partials: Vec<Vec<Vec<u64>>> =
-                map_batches(strips, workers, |s| -> Result<_, SimError> {
-                    crate::cancel::check_opt(cancel)?;
-                    let base = s * STRIP_SHOTS;
-                    let active = STRIP_SHOTS.min(shots - base);
-                    let out = self.run_strip(sim, seed, base, active, ins, shards);
-                    Ok(crate::obs_util::time_engine_phase("reduction", || {
-                        prepared
-                            .iter()
-                            .map(|(_, support)| {
-                                (0..out.wc)
-                                    .map(|w| {
-                                        let aw = LANES.min(active - w * LANES);
-                                        let mask = if aw == LANES {
-                                            u64::MAX
-                                        } else {
-                                            (1u64 << aw) - 1
-                                        };
-                                        strip_parity(&out, w, support) & mask
-                                    })
-                                    .collect()
-                            })
-                            .collect()
-                    }))
+        let partials: Vec<Vec<Vec<u64>>> = self.map_strips(sim, ins, params, |out, active| {
+            prepared
+                .iter()
+                .map(|(_, support)| {
+                    (0..out.wc)
+                        .map(|w| out.parity(w, active, support))
+                        .collect()
                 })
-                .into_iter()
-                .collect::<Result<Vec<_>, SimError>>()?;
-            return Ok(crate::obs_util::time_engine_phase("reduction", || {
-                let mut flips = vec![vec![0u64; words]; paulis.len()];
-                for (s, per_obs) in partials.iter().enumerate() {
-                    for (o, obs_words) in per_obs.iter().enumerate() {
-                        for (w, word) in obs_words.iter().enumerate() {
-                            flips[o][s * STRIP_WORDS + w] = *word;
-                        }
-                    }
-                }
-                PauliFlips {
-                    shots,
-                    refs: prepared.iter().map(|(r, _)| *r).collect(),
-                    flips,
-                }
-            }));
-        }
-        let partials: Vec<Vec<u64>> = map_batches(words, workers, |b| -> Result<_, SimError> {
-            crate::cancel::check_opt(cancel)?;
-            let base = b * LANES;
-            let active = LANES.min(shots - base);
-            let out = self.run_batch(sim, seed, base, active, ins);
-            Ok(crate::obs_util::time_engine_phase("reduction", || {
-                let lane_mask = if active == LANES {
-                    u64::MAX
-                } else {
-                    (1u64 << active) - 1
-                };
-                prepared
-                    .iter()
-                    .map(|(_, support)| support_parity(&out, support) & lane_mask)
-                    .collect()
-            }))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, SimError>>()?;
+                .collect()
+        })?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            let mut flips = vec![vec![0u64; words]; paulis.len()];
-            for (b, batch_words) in partials.iter().enumerate() {
-                for (o, w) in batch_words.iter().enumerate() {
-                    flips[o][b] = *w;
+            let mut flips = vec![vec![0u64; params.shots.div_ceil(LANES)]; paulis.len()];
+            for (s, per_obs) in partials.iter().enumerate() {
+                for (o, obs_words) in per_obs.iter().enumerate() {
+                    for (w, word) in obs_words.iter().enumerate() {
+                        flips[o][s * STRIP_WORDS + w] = *word;
+                    }
                 }
             }
             PauliFlips {
-                shots,
+                shots: params.shots,
                 refs: prepared.iter().map(|(r, _)| *r).collect(),
                 flips,
             }
@@ -1963,46 +1540,7 @@ impl BatchPlan {
 /// `(reference expectation, support plane selectors)` per observable.
 type PreparedObs = Vec<(i32, Vec<(usize, bool, bool)>)>;
 
-/// Lane-parity word of one observable against a batch's final planes.
-#[inline]
-fn support_parity(out: &BatchOut, support: &[(usize, bool, bool)]) -> u64 {
-    let mut parity = 0u64;
-    for &(q, x_obs, z_obs) in support {
-        if z_obs {
-            parity ^= out.fx[q];
-        }
-        if x_obs {
-            parity ^= out.fz[q];
-        }
-    }
-    parity
-}
-
-/// Lane-parity word of one observable against one word of a v2
-/// strip's final planes (layout `[q * wc + w]`).
-#[inline]
-fn strip_parity(out: &StripOut, w: usize, support: &[(usize, bool, bool)]) -> u64 {
-    let mut parity = 0u64;
-    for &(q, x_obs, z_obs) in support {
-        if z_obs {
-            parity ^= out.fx[q * out.wc + w];
-        }
-        if x_obs {
-            parity ^= out.fz[q * out.wc + w];
-        }
-    }
-    parity
-}
-
-/// The finished state of one batch: per-qubit frame bit-planes and
-/// per-lane classical keys.
-struct BatchOut {
-    fx: Vec<u64>,
-    fz: Vec<u64>,
-    keys: [u64; LANES],
-}
-
-/// The finished state of one v2 strip: per-qubit plane words laid out
+/// The finished state of one strip: per-qubit plane words laid out
 /// `[q * wc + w]`, per-lane classical keys (`w * 64 + j`), and the
 /// strip's word count `wc ≤ STRIP_WORDS`.
 struct StripOut {
@@ -2010,6 +1548,30 @@ struct StripOut {
     fz: Vec<u64>,
     keys: Vec<u64>,
     wc: usize,
+}
+
+impl StripOut {
+    /// Lane-parity word of one observable against strip word `w`,
+    /// with the lanes at or past `active` (the strip's shot count)
+    /// masked off.
+    #[inline]
+    fn parity(&self, w: usize, active: usize, support: &[(usize, bool, bool)]) -> u64 {
+        let mut parity = 0u64;
+        for &(q, x_obs, z_obs) in support {
+            if z_obs {
+                parity ^= self.fx[q * self.wc + w];
+            }
+            if x_obs {
+                parity ^= self.fz[q * self.wc + w];
+            }
+        }
+        let aw = LANES.min(active - w * LANES);
+        if aw == LANES {
+            parity
+        } else {
+            parity & ((1u64 << aw) - 1)
+        }
+    }
 }
 
 /// The bit-parallel batched frame engine (see the module docs): a
@@ -2050,7 +1612,7 @@ impl<'a> BatchedFrameEngine<'a> {
         plan.counts(
             self.sim,
             &InsertionSet::empty(),
-            crate::plan::ShotParams {
+            ShotParams {
                 shots,
                 seed,
                 workers,
@@ -2075,7 +1637,7 @@ impl<'a> BatchedFrameEngine<'a> {
         plan.counts(
             self.sim,
             ins,
-            crate::plan::ShotParams {
+            ShotParams {
                 shots,
                 seed,
                 workers,
@@ -2096,7 +1658,7 @@ impl<'a> BatchedFrameEngine<'a> {
     }
 
     /// [`Self::expect_paulis`] with an explicit worker-thread count.
-    /// Per-batch partial sums are reduced in batch order and every
+    /// Per-strip partial sums are reduced in strip order and every
     /// shot contributes an integer ±1, so the result is bit-identical
     /// for every worker count — and equal to the serial engine's.
     pub fn expect_paulis_with_workers(
@@ -2112,7 +1674,7 @@ impl<'a> BatchedFrameEngine<'a> {
             self.sim,
             paulis,
             &InsertionSet::empty(),
-            crate::plan::ShotParams {
+            ShotParams {
                 shots,
                 seed,
                 workers,
@@ -2137,7 +1699,7 @@ impl<'a> BatchedFrameEngine<'a> {
             self.sim,
             paulis,
             ins,
-            crate::plan::ShotParams {
+            ShotParams {
                 shots,
                 seed,
                 workers,
@@ -2163,7 +1725,7 @@ impl<'a> BatchedFrameEngine<'a> {
             self.sim,
             paulis,
             ins,
-            crate::plan::ShotParams {
+            ShotParams {
                 shots,
                 seed,
                 workers,
@@ -2295,7 +1857,6 @@ mod tests {
     #[test]
     fn sharded_strip_matches_unsharded_for_every_shard_count() {
         let (sim, qc) = noisy_workload();
-        let sim = sim.with_seed_schedule(SeedSchedule::V2);
         let sc = sched(&qc);
         let plan = BatchPlan::build(&sim, &sc, 17).unwrap();
         let ins = InsertionSet::empty();

@@ -17,7 +17,7 @@
 //! An insertion is anchored to a scheduled *item* (an index into
 //! `ScheduledCircuit::items`) and applied immediately after that
 //! item's unitary — after the item's own depolarizing-error draw, so
-//! an insertion can never change the RNG stream. The anchor item must
+//! an insertion can never change a noise draw. The anchor item must
 //! be a unitary gate (not a barrier, delay, measurement, or reset);
 //! the inserted Pauli may act on **any** qubit, which is what lets a
 //! single per-layer anchor carry the insertions of every partition of

@@ -28,9 +28,11 @@
 //!
 //! Stochastic processes (charge parity, quasi-static 1/f detuning,
 //! T1/T2, depolarizing gate error, readout error) are sampled per
-//! shot in every engine, from RNG streams seeded per shot index
-//! ([`plan::shot_seed`]) so results are independent of thread count
-//! and batching. Dynamical decoupling, twirling, and error
+//! shot in every engine. The frame engines draw each decision as a
+//! counter-based hash of `(seed, shot, site)` ([`plan::shot_key`],
+//! [`plan::site_draw`]); the dense engine draws from fixed-size shot
+//! chunks with their own seeded streams ([`plan::map_shots`]). Either
+//! way results are independent of thread count and batching. Dynamical decoupling, twirling, and error
 //! compensation then work — or fail — for exactly the physical reasons
 //! laid out in the paper. [`Engine::Auto`] (the default) picks the
 //! backend per circuit; see [`engine`] for the rules. Dispatch and

@@ -222,69 +222,13 @@ impl ExecutionPlan {
     }
 }
 
-/// Fixed shot-block size: chunk boundaries (and therefore the RNG
-/// stream of every shot) are independent of the host's core count, so
-/// a seed reproduces the same counts on any machine.
+/// Fixed shot-block size: chunk boundaries (and therefore the dense
+/// engine's per-chunk RNG streams) are independent of the host's core
+/// count, so a seed reproduces the same counts on any machine.
 const CHUNK_SHOTS: usize = 128;
 
-/// The RNG seed of one shot, derived from the run seed and the shot's
-/// global index alone (SplitMix64-style mix). Both Pauli-frame paths —
-/// the serial reference sampler and the bit-parallel batch engine —
-/// seed shot `i` identically from this function, which is what makes
-/// their counts bit-identical and thread-count independent.
-pub fn shot_seed(seed: u64, shot: usize) -> u64 {
-    let mut z = seed ^ (shot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Which per-shot noise-draw schedule the frame engines use.
-///
-/// * [`SeedSchedule::V1`] — the legacy sequential schedule: shot `i`
-///   owns a `StdRng` seeded from [`shot_seed`], and every draw
-///   consumes the next value of that stream. Draw identity is
-///   positional, so engines must replay the exact draw *order*.
-/// * [`SeedSchedule::V2`] — the counter-based schedule: every draw is
-///   a pure hash of `(seed, shot, site)` (see [`shot_site_seed`]),
-///   where the site id names the structural location of the draw
-///   (noise class, plan-op index, qubit/edge). Draws are
-///   order-independent, which lets the batch engine sample Bernoulli
-///   decisions as bit-planes instead of 64 sequential streams.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SeedSchedule {
-    /// Legacy per-shot sequential streams (pre-v2 goldens).
-    V1,
-    /// Counter-based per-(shot, site) hashing (default).
-    V2,
-}
-
-impl SeedSchedule {
-    /// Stable name, hashed into the session fingerprint.
-    pub fn name(self) -> &'static str {
-        match self {
-            SeedSchedule::V1 => "v1",
-            SeedSchedule::V2 => "v2",
-        }
-    }
-}
-
-/// Reads `CA_SIM_SEED_SCHEDULE` (`1`/`v1`/`legacy` or `2`/`v2`);
-/// defaults to [`SeedSchedule::V2`]. An invalid value warns once via
-/// the obs layer and falls back to the default.
-pub fn seed_schedule_from_env() -> SeedSchedule {
-    ca_obs::var_parsed_with("CA_SIM_SEED_SCHEDULE", |s| {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "1" | "v1" | "legacy" => Some(SeedSchedule::V1),
-            "2" | "v2" => Some(SeedSchedule::V2),
-            _ => None,
-        }
-    })
-    .unwrap_or(SeedSchedule::V2)
-}
-
-/// SplitMix64 finalizer: the avalanche permutation behind both seed
-/// schedules.
+/// SplitMix64 finalizer: the avalanche permutation behind the
+/// counter-based noise stream.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -295,7 +239,7 @@ pub fn mix64(mut z: u64) -> u64 {
 const SHOT_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 const SITE_MUL: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
-/// Schedule-v2 per-shot stream key: `mix64(seed ^ shot·φ)`. The inner
+/// Per-shot stream key: `mix64(seed ^ shot·φ)`. The inner
 /// half of [`shot_site_seed`], exposed so the batch engine can hoist
 /// it per lane and pay only one multiply + finalizer per site.
 #[inline]
@@ -303,7 +247,7 @@ pub fn shot_key(seed: u64, shot: u64) -> u64 {
     mix64(seed ^ shot.wrapping_mul(SHOT_MUL))
 }
 
-/// Schedule-v2 draw: a full-avalanche 64-bit word that is a pure
+/// Counter-based noise draw: a full-avalanche 64-bit word that is a pure
 /// function of `(seed, shot, site)`. Two rounds of the SplitMix64
 /// finalizer, keyed by shot on the inner round and by site on the
 /// outer, so draws at different sites (or shots) are decorrelated and
@@ -320,7 +264,7 @@ pub fn site_draw(shot_key: u64, site: u64) -> u64 {
     mix64(shot_key ^ site.wrapping_mul(SITE_MUL))
 }
 
-/// Schedule-v2 bit-plane base for a (64-shot word, site) pair: plane
+/// Bit-plane base for a (64-shot word, site) pair: plane
 /// `k` of the word's 64 lanes is [`plane`]` (base, k)`. Lane `j` of
 /// plane `k` is bit `k` (MSB-first) of lane `j`'s conceptual uniform
 /// draw at this site; the serial engine extracts single lane bits from
@@ -375,7 +319,7 @@ pub fn bern_theta(theta: f64) -> u64 {
 
 /// The three amplitude-damping twirl thresholds `(γ/4, γ/2, 3γ/4)` as
 /// Bernoulli thresholds over one shared uniform. Shared by the serial
-/// v2 draw and the batch compile step.
+/// draw and the batch compile step.
 #[inline]
 pub fn damping_thresholds(gamma: f64) -> [u64; 3] {
     [
@@ -475,7 +419,7 @@ pub fn pick(h: u64, n: u64) -> u64 {
     ((h as u128 * n as u128) >> 64) as u64
 }
 
-/// Trials in the schedule-v2 lattice Gaussian: `popcount` of the low
+/// Trials in the lattice Gaussian: `popcount` of the low
 /// 32 hash bits, recentred and rescaled to zero mean, unit variance.
 /// A Binomial(32, ½) lattice (step σ/√8, range ±4√2·σ) — within the
 /// quasistatic-detuning physics bands while costing one popcount per
@@ -495,7 +439,7 @@ pub fn lattice_idx(h: u64) -> usize {
     (h & 0xFFFF_FFFF).count_ones() as usize
 }
 
-/// Structural site ids for schedule v2: every noise draw is named by
+/// Structural site ids of the counter-based stream: every noise draw is named by
 /// `(class, plan-op index, unit)` where `unit` is a qubit or
 /// crosstalk-edge index. Identity is *structural*, not positional —
 /// both engines compute the same site id for the same physical draw
@@ -551,13 +495,11 @@ pub fn worker_count(requested: Option<usize>, jobs: usize) -> usize {
     base.clamp(1, 16).min(jobs.max(1))
 }
 
-/// Runs `shots` across worker threads with a *per-shot* seeded RNG
-/// (see [`shot_seed`]): shot `i` sees the same stream no matter how
-/// shots are distributed over threads. The closure receives the
-/// global shot index (used for per-shot Pauli-insertion lookups).
-/// Returns per-worker accumulators for the caller to merge. Used by
-/// the serial Pauli-frame sampler; the batch engine reproduces the
-/// identical per-shot streams 64 lanes at a time.
+/// Runs `shots` across worker threads, handing the closure each
+/// global shot index. The serial Pauli-frame sampler derives every
+/// draw from `(seed, shot, site)` (see [`shot_site_seed`]), so shot
+/// `i` sees the same noise no matter how shots are distributed over
+/// threads. Returns per-worker accumulators for the caller to merge.
 ///
 /// `cancel` is polled at every chunk boundary: a cancelled or
 /// deadline-expired token stops all workers within one chunk of work
@@ -565,13 +507,11 @@ pub fn worker_count(requested: Option<usize>, jobs: usize) -> usize {
 /// partial accumulation.
 pub fn map_shots_indexed<Acc: Send>(
     shots: usize,
-    seed: u64,
     workers: Option<usize>,
     cancel: Option<&crate::cancel::CancelToken>,
     new_acc: impl Fn() -> Acc + Sync,
-    per_shot: impl Fn(usize, &mut rand::rngs::StdRng, &mut Acc) + Sync,
+    per_shot: impl Fn(usize, &mut Acc) + Sync,
 ) -> Result<Vec<Acc>, SimError> {
-    use rand::SeedableRng;
     let chunks = chunk_ranges(shots);
     let workers = worker_count(workers, chunks.len());
     std::thread::scope(|scope| {
@@ -585,8 +525,7 @@ pub fn map_shots_indexed<Acc: Send>(
                     for &(start, len) in chunks.iter().skip(w).step_by(workers) {
                         crate::cancel::check_opt(cancel)?;
                         for i in start..start + len {
-                            let mut rng = rand::rngs::StdRng::seed_from_u64(shot_seed(seed, i));
-                            per_shot(i, &mut rng, &mut acc);
+                            per_shot(i, &mut acc);
                         }
                     }
                     Ok(acc)

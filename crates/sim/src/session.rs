@@ -378,12 +378,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Fingerprint of everything except the circuit and seed: device,
-/// noise switches, engine policy, seed schedule. Computed once per
+/// noise switches, engine policy. Computed once per
 /// [`Session`].
 fn sim_fingerprint(sim: &Simulator) -> u64 {
     let mut h = Fnv::new();
     h.u64(sim.device.fingerprint());
-    h.str(sim.schedule.name());
     let c = &sim.config;
     for (i, b) in [
         c.zz_crosstalk,
@@ -465,15 +464,12 @@ impl Simulator {
                 );
                 CompiledBackend::Dense
             }
-            "stabilizer" => CompiledBackend::Serial(FramePlan::build_with_plan(
-                sc.clone(),
-                plan.clone(),
-                seed,
-                self.schedule,
-            )?),
+            "stabilizer" => {
+                CompiledBackend::Serial(FramePlan::build_with_plan(sc.clone(), plan.clone(), seed)?)
+            }
             _ => CompiledBackend::Batch(BatchPlan::from_frame(
                 self,
-                FramePlan::build_with_plan(sc.clone(), plan.clone(), seed, self.schedule)?,
+                FramePlan::build_with_plan(sc.clone(), plan.clone(), seed)?,
             )),
         };
         Ok(CompiledCircuit {

@@ -1,11 +1,11 @@
-//! Qubit-sharded sampling support for the v2 strip runner.
+//! Qubit-sharded sampling support for the frame-batch strip runner.
 //!
 //! At Osprey/Condor widths (433/1121 qubits) a single strip's
 //! sampling pass — per-(qubit, word) noise-code grouping plus the
 //! per-op mask hashing — dominates wall clock, and with few strips in
 //! flight (low shot counts) strip-level fan-out alone cannot fill the
-//! worker pool. The v2 seed schedule makes a second axis available
-//! for free: every draw is a pure counter-based hash of
+//! worker pool. The counter-based noise stream makes a second axis
+//! available for free: every draw is a pure hash of
 //! `(seed, shot, site)` where the site is keyed by the op's *owner*
 //! qubit (flushes, gates, measures) or an edge id reachable only from
 //! its flush's owner. Sampling therefore partitions exactly by owner:
@@ -17,10 +17,6 @@
 //! then replays the merged buffer unchanged, so sharded output is
 //! bit-identical to unsharded output — and hence to the serial
 //! engine — for every shard and worker count.
-//!
-//! Seed-schedule v1 draws are positional in a per-shot stream and
-//! cannot shard; the v1 path never reaches this module, which keeps
-//! the cross-schedule equivalence guarantees intact.
 
 /// Devices narrower than this never shard: below a few hundred qubits
 /// the per-shard walk overhead (each shard still scans the full op
