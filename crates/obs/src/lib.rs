@@ -16,7 +16,9 @@
 //!
 //! All state lives in thread-local shards registered in a global
 //! registry, so recording never contends across worker threads;
-//! [`snapshot`] merges the shards on demand. When disabled, every
+//! [`snapshot`] merges the shards on demand. An exiting thread folds
+//! its shard into one retired shard, so the registry stays bounded by
+//! the live threads however many short-lived workers come and go. When disabled, every
 //! instrumentation site costs **one relaxed atomic load** and nothing
 //! else — no clock read, no allocation.
 //!

@@ -2,9 +2,11 @@
 //! them.
 //!
 //! Each thread records into its own [`Shard`] behind an uncontended
-//! mutex; shards register themselves in a global list on first use and
-//! outlive their thread, so short-lived worker pools (the session
-//! fan-out spawns scoped threads per submit) never lose data.
+//! mutex; shards register themselves in a global list on first use.
+//! When a thread exits, its shard folds into one *retired* shard and
+//! leaves the list, so short-lived worker pools (the session and
+//! engine fan-outs spawn scoped threads per job) neither lose data nor
+//! grow the registry without bound in a long-running server.
 
 use crate::histogram::Histogram;
 use crate::span::TraceEvent;
@@ -26,29 +28,78 @@ pub(crate) struct Shard {
     dropped_events: u64,
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<Mutex<Shard>>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<Shard>>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+impl Shard {
+    /// Folds an exited thread's shard into this one. Its trace events
+    /// keep the thread id they were stamped with.
+    fn absorb(&mut self, other: Shard) {
+        for (name, v) in other.counters {
+            *self.counters.entry(name).or_insert(0) += v;
+        }
+        self.gauges.extend(other.gauges);
+        for (key, h) in &other.histograms {
+            self.histograms.entry(*key).or_default().merge(h);
+        }
+        self.events.extend(other.events);
+        self.dropped_events += other.dropped_events;
+    }
+}
+
+/// The live threads' shards, the retired threads' merged shard, and
+/// the next thread id.
+#[derive(Default)]
+struct Registry {
+    live: Vec<Arc<Mutex<Shard>>>,
+    retired: Shard,
+    next_tid: u64,
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+}
+
+/// A thread's registered shard; dropping it (at thread exit) retires
+/// the shard.
+struct Local(Arc<Mutex<Shard>>);
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        let mut reg = crate::lock_recover(registry());
+        reg.live.retain(|s| !Arc::ptr_eq(s, &self.0));
+        let shard = std::mem::take(&mut *crate::lock_recover(&self.0));
+        reg.retired.absorb(shard);
+    }
 }
 
 thread_local! {
-    static LOCAL: RefCell<Option<Arc<Mutex<Shard>>>> = const { RefCell::new(None) };
+    static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
 }
 
 fn with_shard(f: impl FnOnce(&mut Shard)) {
-    LOCAL.with(|cell| {
+    let mut f = Some(f);
+    let recorded = LOCAL.try_with(|cell| {
         let mut slot = cell.borrow_mut();
-        let arc = slot.get_or_insert_with(|| {
+        let local = slot.get_or_insert_with(|| {
             let mut reg = crate::lock_recover(registry());
+            reg.next_tid += 1;
             let shard = Arc::new(Mutex::new(Shard {
-                tid: reg.len() as u64 + 1,
+                tid: reg.next_tid,
                 ..Shard::default()
             }));
-            reg.push(Arc::clone(&shard));
-            shard
+            reg.live.push(Arc::clone(&shard));
+            Local(shard)
         });
-        f(&mut crate::lock_recover(arc));
+        if let Some(f) = f.take() {
+            f(&mut crate::lock_recover(&local.0));
+        }
     });
+    // Recording from another thread-local's destructor, after this
+    // thread's shard has retired: write to the retired shard directly.
+    if recorded.is_err() {
+        if let Some(f) = f {
+            f(&mut crate::lock_recover(registry()).retired);
+        }
+    }
 }
 
 /// Adds `delta` to the named monotonic counter. No-op when disabled.
@@ -91,11 +142,12 @@ pub(crate) fn push_event(mut event: TraceEvent) {
     });
 }
 
-/// Drains all buffered trace events from every shard.
+/// Drains all buffered trace events from every shard, retired
+/// threads' first.
 pub(crate) fn take_events() -> Vec<TraceEvent> {
-    let reg = crate::lock_recover(registry());
-    let mut out = Vec::new();
-    for shard in reg.iter() {
+    let mut reg = crate::lock_recover(registry());
+    let mut out = std::mem::take(&mut reg.retired.events);
+    for shard in reg.live.iter() {
         out.append(&mut crate::lock_recover(shard).events);
     }
     out
@@ -117,9 +169,7 @@ pub struct Snapshot {
 pub fn snapshot() -> Snapshot {
     let mut out = Snapshot::default();
     let mut dropped = 0u64;
-    let reg = crate::lock_recover(registry());
-    for shard in reg.iter() {
-        let s = crate::lock_recover(shard);
+    let mut add = |s: &Shard| {
         for (name, v) in &s.counters {
             *out.counters.entry((*name).to_string()).or_insert(0) += v;
         }
@@ -133,6 +183,11 @@ pub fn snapshot() -> Snapshot {
                 .merge(h);
         }
         dropped += s.dropped_events;
+    };
+    let reg = crate::lock_recover(registry());
+    add(&reg.retired);
+    for shard in reg.live.iter() {
+        add(&crate::lock_recover(shard));
     }
     if dropped > 0 {
         *out.counters
@@ -220,6 +275,33 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 4000);
         assert_eq!(delta.gauges.get("test.registry.gauge"), Some(&7.0));
+    }
+
+    #[test]
+    fn exited_threads_retire_their_shards() {
+        let _guard = LEVEL_LOCK.lock().unwrap();
+        crate::set_level(Level::Summary);
+        counter_add("test.registry.retire", 1);
+        let before = snapshot();
+        let live_before = crate::lock_recover(registry()).live.len();
+        for _ in 0..50 {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    counter_add("test.registry.retire", 2);
+                    observe_ns("test.registry", "retire-lat", 10);
+                });
+            });
+        }
+        // Every spawned thread has exited: their 50 shards left the
+        // live list (other tests' threads may come and go meanwhile),
+        // and their data survives in the retired shard.
+        assert!(crate::lock_recover(registry()).live.len() < live_before + 10);
+        let delta = snapshot().since(&before);
+        assert_eq!(delta.counter("test.registry.retire"), 100);
+        assert_eq!(
+            delta.histogram("test.registry/retire-lat").unwrap().count(),
+            50
+        );
     }
 
     #[test]

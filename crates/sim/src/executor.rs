@@ -8,17 +8,29 @@
 //! exact for diagonal noise and makes dynamical decoupling work with
 //! no special casing: the inserted X pulses conjugate earlier flushed
 //! phases precisely as on hardware.
+//!
+//! The circuit's own `Rz`, `Rzz` and diagonal 1q gates bank the same
+//! way instead of sweeping the state. A flush is one fused diagonal
+//! pass ([`State::flush`]): the banked phases of the qubit and its
+//! incident edges, the no-jump amplitude-damping branch with its
+//! renormalisation (its weight read in one pass), and the dephasing
+//! kick. The pass is folded into the non-diagonal 1q or 2q gate that
+//! triggered the flush. A gate-error Pauli with an X or Y part flushes
+//! its qubit before it lands, since it does not commute with the
+//! banked noise that physically preceded it. Gate matrices, edge
+//! banks and error rates are resolved once per call (`dense_ops`),
+//! and expectation values use Pauli bit-masks built once per job.
 
 use crate::engine::Engine;
 use crate::error::SimError;
-use crate::noise::{
-    amplitude_damping_kraus, damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise,
-};
+use crate::noise::{damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise};
 use crate::obs_util::{time_engine_phase, PhaseTimer};
 use crate::plan::{map_shots, ExecutionPlan, PlanOp};
 use crate::result::RunResult;
-use crate::statevector::State;
-use ca_circuit::pauli::PauliString;
+use crate::statevector::{Decay, DiagTable, FlushGate, PauliMask, State};
+use ca_circuit::c64::{C64, ONE};
+use ca_circuit::matrix::{Mat2, Mat4};
+use ca_circuit::pauli::{Pauli, PauliString};
 use ca_circuit::{Gate, ScheduledCircuit};
 use ca_device::{phase_rad, Device};
 use rand::rngs::StdRng;
@@ -68,54 +80,190 @@ impl Simulator {
         ExecutionPlan::build(sc, &self.device, &self.config)
     }
 
+    /// Resolves every scheduled item into its [`DenseOp`], once per
+    /// call: the shot loop then never looks up a gate matrix, an edge
+    /// bank or a calibration rate. Gates whose operand count does not
+    /// fit their matrix are a structured error.
+    pub(crate) fn dense_ops(&self, plan: &ExecutionPlan) -> Result<Vec<DenseOp>, SimError> {
+        let cal = &self.device.calibration;
+        plan.sc
+            .items
+            .iter()
+            .map(|si| {
+                let instr = &si.instruction;
+                let gate = instr.gate;
+                let qs = &instr.qubits;
+                let arity = || SimError::UnsupportedGateArity {
+                    gate: gate.name(),
+                    expected: gate.num_qubits(),
+                    got: qs.len(),
+                };
+                if !gate.is_unitary() {
+                    return Ok(DenseOp::Skip);
+                }
+                Ok(match qs[..] {
+                    [q] => {
+                        if let Gate::Rz(theta) = gate {
+                            return Ok(DenseOp::BankRz { q, theta });
+                        }
+                        let p = if self.config.gate_error && !gate.is_virtual() && !instr.merged {
+                            cal.qubits[q].gate_err_1q
+                        } else {
+                            0.0
+                        };
+                        let m = gate.matrix1().ok_or_else(arity)?;
+                        match gate {
+                            // Virtual, so error-free too.
+                            Gate::I => DenseOp::Skip,
+                            _ if gate.is_diagonal() => DenseOp::BankDiag {
+                                q,
+                                d: [m.0[0][0], m.0[1][1]],
+                                p,
+                            },
+                            _ => DenseOp::Gate1 { q, m, p },
+                        }
+                    }
+                    [a, b] => {
+                        let p = if self.config.gate_error {
+                            cal.gate_err_2q(a, b) * plan.sc.durations.two_qubit_error_scale(&gate)
+                        } else {
+                            0.0
+                        };
+                        match (gate, plan.edge_index.get(&(a.min(b), a.max(b)))) {
+                            (Gate::Rzz(theta), Some(&edge)) => DenseOp::BankRzz {
+                                a,
+                                b,
+                                edge,
+                                theta,
+                                p,
+                            },
+                            _ => DenseOp::Gate2 {
+                                a,
+                                b,
+                                m: Box::new(gate.matrix2().ok_or_else(arity)?),
+                                diagonal: gate.is_diagonal(),
+                                p,
+                            },
+                        }
+                    }
+                    _ => return Err(arity()),
+                })
+            })
+            .collect()
+    }
+
+    /// Flushes the pending banks of `qs` (one qubit, or a 2q gate's
+    /// operand pair) into the state: per qubit, its banked `Rz` and
+    /// diagonal gates, every incident banked `Rzz`, and the
+    /// decoherence accrued since its last flush. They fuse into one
+    /// diagonal pass, folded into `gate` when one follows. RNG draws,
+    /// per qubit in order: the damping branch, then the dephasing kick.
+    fn flush(
+        &self,
+        plan: &ExecutionPlan,
+        qs: &[usize],
+        st: &mut State,
+        banks: &mut Banks,
+        rng: &mut StdRng,
+        gate: FlushGate<'_>,
+    ) {
+        let t = &mut banks.table;
+        t.reset(qs);
+        let mut decay = [Decay::default(); 2];
+        for (&q, d) in qs.iter().zip(decay.iter_mut()) {
+            if banks.pend_rz[q].abs() > 1e-15 {
+                t.rz(q, banks.pend_rz[q]);
+                banks.pend_rz[q] = 0.0;
+            }
+            if let Some((s0, s1)) = banks.pend_diag[q].take() {
+                t.scale(q, s0, s1);
+            }
+            for &e in &plan.incident[q] {
+                let theta = banks.pend_rzz[e];
+                if theta.abs() > 1e-15 {
+                    banks.pend_rzz[e] = 0.0;
+                    let (a, b) = plan.edge_pairs[e];
+                    if !t.rzz(a, b, theta) {
+                        st.apply_rzz(theta, a, b);
+                    }
+                }
+            }
+            if self.config.decoherence && banks.deco_dt[q] > 0.0 {
+                let cal = &self.device.calibration.qubits[q];
+                let dt = banks.deco_dt[q];
+                banks.deco_dt[q] = 0.0;
+                let p_damp = damping_prob(dt, cal.t1_us);
+                if p_damp > 0.0 {
+                    d.damping = Some((p_damp, rng.random::<f64>()));
+                }
+                let p_z = dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us));
+                d.kick = p_z > 0.0 && rng.random::<f64>() < p_z;
+            }
+        }
+        st.flush(t, &decay[..qs.len()], gate);
+    }
+
+    /// Samples a gate's depolarizing error: with probability `p`, a
+    /// uniformly drawn non-identity Pauli on the gate's one or two
+    /// qubits. X and Y components do not commute with a qubit's banked
+    /// Z/ZZ noise, which physically preceded the error, so those
+    /// qubits are flushed before the Pauli lands.
+    fn gate_error(
+        &self,
+        plan: &ExecutionPlan,
+        qs: &[usize],
+        p: f64,
+        st: &mut State,
+        banks: &mut Banks,
+        rng: &mut StdRng,
+    ) {
+        const PAULIS: [Pauli; 4] = [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z];
+        let hit = p > 0.0 && rng.random::<f64>() < p;
+        if !hit {
+            return;
+        }
+        // Qubit j's Pauli is base-4 digit j of k.
+        let k = match qs.len() {
+            1 => rng.random_range(0..3usize) + 1,
+            _ => rng.random_range(1..16usize),
+        };
+        let pauli = |j: usize| PAULIS[(k >> (2 * j)) & 3];
+        for (j, &q) in qs.iter().enumerate() {
+            if matches!(pauli(j), Pauli::X | Pauli::Y) {
+                self.flush(plan, &[q], st, banks, rng, FlushGate::None);
+            }
+        }
+        for (j, &q) in qs.iter().enumerate() {
+            st.apply_pauli(pauli(j), q);
+        }
+    }
+
     /// Runs one trajectory; returns the final state and classical bits.
+    /// `ops` is [`Self::dense_ops`] of the same plan.
     ///
     /// Phase attribution: per-shot parameter draws, bank accrual, and
     /// measurement/readout randomness count as *sampling*; statevector
     /// updates (gates, flushed phases, Kraus applications) count as
     /// *propagation* — so the dense rows of the scaling bench report
     /// the same phase columns as the frame engines.
-    pub(crate) fn trajectory(&self, plan: &ExecutionPlan, rng: &mut StdRng) -> (State, Vec<bool>) {
+    pub(crate) fn trajectory(
+        &self,
+        plan: &ExecutionPlan,
+        ops: &[DenseOp],
+        rng: &mut StdRng,
+    ) -> (State, Vec<bool>) {
         let mut phase = PhaseTimer::start();
         let n = plan.sc.num_qubits;
         let shot = ShotNoise::sample(&self.device, &self.config, rng);
         phase.tick_sampling();
         let mut st = State::zero(n);
         let mut bits = vec![false; plan.sc.num_clbits.max(1)];
-        let mut pend_rz = vec![0.0f64; n];
-        let mut pend_rzz = vec![0.0f64; plan.edge_pairs.len()];
-        let mut deco_dt = vec![0.0f64; n];
-
-        let flush_qubit = |q: usize,
-                           st: &mut State,
-                           pend_rz: &mut [f64],
-                           pend_rzz: &mut [f64],
-                           deco_dt: &mut [f64],
-                           rng: &mut StdRng| {
-            if pend_rz[q].abs() > 1e-15 {
-                st.apply_rz(pend_rz[q], q);
-                pend_rz[q] = 0.0;
-            }
-            for &e in &plan.incident[q] {
-                if pend_rzz[e].abs() > 1e-15 {
-                    let (a, b) = plan.edge_pairs[e];
-                    st.apply_rzz(pend_rzz[e], a, b);
-                    pend_rzz[e] = 0.0;
-                }
-            }
-            if self.config.decoherence && deco_dt[q] > 0.0 {
-                let cal = &self.device.calibration.qubits[q];
-                let dt = deco_dt[q];
-                deco_dt[q] = 0.0;
-                let p_damp = damping_prob(dt, cal.t1_us);
-                if p_damp > 0.0 {
-                    st.apply_kraus_1q(&amplitude_damping_kraus(p_damp), q, rng);
-                }
-                let p_z = dephasing_prob(dt, t_phi_us(cal.t1_us, cal.t2_us));
-                if p_z > 0.0 && rng.random::<f64>() < p_z {
-                    st.apply_rz(std::f64::consts::PI, q);
-                }
-            }
+        let mut banks = Banks {
+            pend_rz: vec![0.0; n],
+            pend_rzz: vec![0.0; plan.edge_pairs.len()],
+            pend_diag: vec![None; n],
+            deco_dt: vec![0.0; n],
+            table: DiagTable::default(),
         };
 
         for op in &plan.ops {
@@ -123,112 +271,91 @@ impl Simulator {
                 PlanOp::Segment(i) => {
                     let seg = &plan.segments[i];
                     for &(q, th) in &seg.rz_static {
-                        pend_rz[q] += th;
+                        banks.pend_rz[q] += th;
                     }
                     for &(e, th) in &plan.seg_edges[i] {
-                        pend_rzz[e] += th;
+                        banks.pend_rzz[e] += th;
                     }
                     for q in 0..n {
                         let rate = shot.z_rate_khz(&self.device, q);
                         if rate != 0.0 {
-                            pend_rz[q] += phase_rad(rate, seg.signed_dt(q));
+                            banks.pend_rz[q] += phase_rad(rate, seg.signed_dt(q));
                         }
-                        deco_dt[q] += seg.dt();
+                        banks.deco_dt[q] += seg.dt();
                     }
                     phase.tick_sampling();
                 }
                 PlanOp::Project { item } => {
                     let si = &plan.sc.items[item];
                     let q = si.instruction.qubits[0];
-                    flush_qubit(q, &mut st, &mut pend_rz, &mut pend_rzz, &mut deco_dt, rng);
+                    self.flush(plan, &[q], &mut st, &mut banks, rng, FlushGate::None);
                     phase.tick_propagation();
-                    match si.instruction.gate {
-                        Gate::Measure => {
-                            let outcome = st.measure(q, rng);
-                            let recorded = if self.config.readout_error {
-                                let p = self.device.calibration.qubits[q].readout_err;
-                                if rng.random::<f64>() < p {
-                                    !outcome
-                                } else {
-                                    outcome
-                                }
+                    // The plan lowers only measurements and resets to
+                    // projections.
+                    if si.instruction.gate == Gate::Reset {
+                        st.reset(q, rng);
+                    } else {
+                        let outcome = st.measure(q, rng);
+                        let recorded = if self.config.readout_error {
+                            let p = self.device.calibration.qubits[q].readout_err;
+                            if rng.random::<f64>() < p {
+                                !outcome
                             } else {
                                 outcome
-                            };
-                            if let Some(c) = si.instruction.clbit {
-                                bits[c] = recorded;
                             }
+                        } else {
+                            outcome
+                        };
+                        if let Some(c) = si.instruction.clbit {
+                            bits[c] = recorded;
                         }
-                        Gate::Reset => st.reset(q, rng),
-                        _ => unreachable!(), // ca-lint: allow(panic) -- plan stage rejects unknown ops before execution
                     }
                     phase.tick_sampling();
                 }
                 PlanOp::Apply { item } => {
-                    let si = &plan.sc.items[item];
-                    let instr = &si.instruction;
-                    if let Some(cond) = instr.condition {
+                    if let Some(cond) = plan.sc.items[item].instruction.condition {
                         if bits[cond.clbit] != cond.value {
                             continue;
                         }
                     }
-                    let gate = instr.gate;
-                    if !gate.is_unitary() {
-                        continue;
-                    }
-                    if !gate.is_diagonal() {
-                        for &q in &instr.qubits {
-                            flush_qubit(q, &mut st, &mut pend_rz, &mut pend_rzz, &mut deco_dt, rng);
+                    match ops[item] {
+                        DenseOp::Skip => continue,
+                        DenseOp::BankRz { q, theta } => banks.pend_rz[q] += theta,
+                        DenseOp::BankDiag { q, d, p } => {
+                            let (s0, s1) = banks.pend_diag[q].unwrap_or((ONE, ONE));
+                            banks.pend_diag[q] = Some((s0 * d[0], s1 * d[1]));
+                            self.gate_error(plan, &[q], p, &mut st, &mut banks, rng);
                         }
-                    }
-                    match instr.qubits.len() {
-                        1 => {
-                            let q = instr.qubits[0];
-                            if let Gate::Rz(th) = gate {
-                                st.apply_rz(th, q);
+                        DenseOp::Gate1 { q, ref m, p } => {
+                            let gate = FlushGate::One(m);
+                            self.flush(plan, &[q], &mut st, &mut banks, rng, gate);
+                            self.gate_error(plan, &[q], p, &mut st, &mut banks, rng);
+                        }
+                        DenseOp::BankRzz {
+                            a,
+                            b,
+                            edge,
+                            theta,
+                            p,
+                        } => {
+                            banks.pend_rzz[edge] += theta;
+                            self.gate_error(plan, &[a, b], p, &mut st, &mut banks, rng);
+                        }
+                        DenseOp::Gate2 {
+                            a,
+                            b,
+                            ref m,
+                            diagonal,
+                            p,
+                        } => {
+                            if diagonal {
+                                st.apply_2q(m, a, b);
                             } else {
-                                // ca-lint: allow(panic) -- plan stage validated gate arity and unitarity
-                                st.apply_1q(&gate.matrix1().expect("1q unitary"), q);
+                                let gate = FlushGate::Two(m);
+                                self.flush(plan, &[a, b], &mut st, &mut banks, rng, gate);
                             }
-                            if self.config.gate_error && !gate.is_virtual() && !instr.merged {
-                                let p = self.device.calibration.qubits[q].gate_err_1q;
-                                if p > 0.0 && rng.random::<f64>() < p {
-                                    let k = rng.random_range(0..3usize);
-                                    let pg = [Gate::X, Gate::Y, Gate::Z][k];
-                                    st.apply_1q(&pg.matrix1().unwrap(), q); // ca-lint: allow(panic) -- Pauli gates always have defined 1q unitaries
-                                }
-                            }
+                            self.gate_error(plan, &[a, b], p, &mut st, &mut banks, rng);
                         }
-                        2 => {
-                            let (a, b) = (instr.qubits[0], instr.qubits[1]);
-                            if let Gate::Rzz(th) = gate {
-                                st.apply_rzz(th, a, b);
-                            } else {
-                                // ca-lint: allow(panic) -- plan stage validated gate arity and unitarity
-                                st.apply_2q(&gate.matrix2().expect("2q unitary"), a, b);
-                            }
-                            if self.config.gate_error {
-                                let scale = plan.sc.durations.two_qubit_error_scale(&gate);
-                                let p = self.device.calibration.gate_err_2q(a, b) * scale;
-                                if p > 0.0 && rng.random::<f64>() < p {
-                                    let k = rng.random_range(1..16usize);
-                                    let pa = k % 4;
-                                    let pb = k / 4;
-                                    let paulis =
-                                        [None, Some(Gate::X), Some(Gate::Y), Some(Gate::Z)];
-                                    if let Some(g) = paulis[pa] {
-                                        st.apply_1q(&g.matrix1().unwrap(), a); // ca-lint: allow(panic) -- Pauli gates always have defined 1q unitaries
-                                    }
-                                    if let Some(g) = paulis[pb] {
-                                        st.apply_1q(&g.matrix1().unwrap(), b); // ca-lint: allow(panic) -- Pauli gates always have defined 1q unitaries
-                                    }
-                                }
-                            }
-                        }
-                        // Every public entry point runs
-                        // `check_gate_arities` first, so operand
-                        // lists here are exactly 1 or 2 long.
-                        _ => unreachable!("gate arity validated before execution"), // ca-lint: allow(panic) -- gate arity validated before execution
                     }
                     phase.tick_propagation();
                 }
@@ -236,7 +363,7 @@ impl Simulator {
         }
         // Final flush so the returned state carries all trailing noise.
         for q in 0..n {
-            flush_qubit(q, &mut st, &mut pend_rz, &mut pend_rzz, &mut deco_dt, rng);
+            self.flush(plan, &[q], &mut st, &mut banks, rng, FlushGate::None);
         }
         phase.tick_propagation();
         phase.finish();
@@ -292,13 +419,14 @@ impl Simulator {
     ) -> Result<RunResult, SimError> {
         debug_assert!(plan.sc.num_qubits <= crate::engine::DENSE_MAX_QUBITS);
         let nbits = plan.sc.num_clbits;
+        let ops = self.dense_ops(plan)?;
         let parts = map_shots(
             shots,
             seed,
             cancel,
             std::collections::BTreeMap::<u64, usize>::new,
             |rng, counts| {
-                let (_, bits) = self.trajectory(plan, rng);
+                let (_, bits) = self.trajectory(plan, &ops, rng);
                 *counts.entry(pack_bits(&bits, nbits)).or_insert(0) += 1;
             },
         )?;
@@ -331,15 +459,17 @@ impl Simulator {
         cancel: Option<&crate::cancel::CancelToken>,
     ) -> Result<Vec<f64>, SimError> {
         debug_assert!(plan.sc.num_qubits <= crate::engine::DENSE_MAX_QUBITS);
+        let ops = self.dense_ops(plan)?;
+        let masks: Vec<PauliMask> = paulis.iter().map(PauliMask::new).collect();
         let parts = map_shots(
             shots,
             seed,
             cancel,
             || vec![0.0; paulis.len()],
             |rng, acc| {
-                let (st, _) = self.trajectory(plan, rng);
-                for (i, p) in paulis.iter().enumerate() {
-                    acc[i] += st.expect_pauli(p);
+                let (st, _) = self.trajectory(plan, &ops, rng);
+                for (a, m) in acc.iter_mut().zip(&masks) {
+                    *a += st.expect_masked(m);
                 }
             },
         )?;
@@ -372,11 +502,58 @@ impl Simulator {
     /// and returns the final state and classical bits. Test hook;
     /// always uses the statevector engine (a tableau has no `State`).
     pub fn run_single(&self, sc: &ScheduledCircuit, seed: u64) -> (State, Vec<bool>) {
-        crate::engine::check_gate_arities(sc).expect("run_single: malformed circuit"); // ca-lint: allow(panic) -- run_single is a fail-loud debug entry; batch paths return Result
-        let plan = self.plan(sc).expect("run_single: unplannable circuit"); // ca-lint: allow(panic) -- run_single is a fail-loud debug entry; batch paths return Result
+        let planned = self
+            .plan(sc)
+            .and_then(|plan| Ok((self.dense_ops(&plan)?, plan)));
+        let (ops, plan) = planned.expect("run_single: malformed or unplannable circuit"); // ca-lint: allow(panic) -- run_single is a fail-loud debug entry; batch paths return Result
         let mut rng = StdRng::seed_from_u64(seed);
-        self.trajectory(&plan, &mut rng)
+        self.trajectory(&plan, &ops, &mut rng)
     }
+}
+
+/// One scheduled item resolved for the dense trajectory loop (see
+/// [`Simulator::dense_ops`]); `p` is the item's gate-error rate, 0
+/// when none applies.
+#[derive(Clone, Debug)]
+pub(crate) enum DenseOp {
+    /// Nothing to apply: barriers, delays, and the measurements and
+    /// resets that run as [`PlanOp::Project`].
+    Skip,
+    /// A circuit `Rz`: banked with the noise phases.
+    BankRz { q: usize, theta: f64 },
+    /// A circuit `Rzz` on a pair with an edge bank: banked.
+    BankRzz {
+        a: usize,
+        b: usize,
+        edge: usize,
+        theta: f64,
+        p: f64,
+    },
+    /// Any other diagonal 1q gate `diag(d[0], d[1])`: banked.
+    BankDiag { q: usize, d: [C64; 2], p: f64 },
+    /// A non-diagonal 1q gate: the qubit's flush folds into it.
+    Gate1 { q: usize, m: Mat2, p: f64 },
+    /// Any other 2q gate. Non-diagonal ones fold both qubits' flushes
+    /// into their pass.
+    Gate2 {
+        a: usize,
+        b: usize,
+        m: Box<Mat4>,
+        diagonal: bool,
+        p: f64,
+    },
+}
+
+/// A trajectory's pending diagonal operators: the per-qubit `Rz` and
+/// per-edge `Rzz` phase banks, the per-qubit product of banked
+/// diagonal gates, the decoherence time accrued since each qubit's
+/// last flush, and the flush table they fold into.
+struct Banks {
+    pend_rz: Vec<f64>,
+    pend_rzz: Vec<f64>,
+    pend_diag: Vec<Option<(C64, C64)>>,
+    deco_dt: Vec<f64>,
+    table: DiagTable,
 }
 
 /// Packs classical bits little-endian into a u64 key.
@@ -689,6 +866,59 @@ mod more_tests {
         qc.barrier(Vec::<usize>::new());
         let (st, _) = sim.run_single(&sched(&qc), 1);
         assert!((st.amps[0].norm_sqr() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn gate_error_lands_after_banked_noise_on_diagonal_gates() {
+        // Charge-parity Z noise accrues on qubit 0 for τ before and τ
+        // after a CZ that always errs. An X or Y error on qubit 0
+        // echoes the two equal phases away, so ⟨Z₀⟩ = ±1 after the
+        // closing H; an I or Z error leaves cos(2φ) = 0 at φ = π/4.
+        // Applying the error before the banked pre-gate phase (the
+        // diagonal gate does not flush) collapses every case to 0.
+        let mut dev = uniform_device(Topology::line(2), 0.0);
+        dev.calibration.qubits[0].charge_parity_khz = 50.0;
+        dev.calibration.qubits[1].charge_parity_khz = 0.0;
+        for q in &mut dev.calibration.qubits {
+            q.quasistatic_khz = 0.0;
+            q.gate_err_1q = 0.0;
+        }
+        let keys: Vec<_> = dev.calibration.edges.keys().copied().collect();
+        for k in keys {
+            dev.calibration.edges.get_mut(&k).unwrap().gate_err_2q = 1.0;
+        }
+        let cfg = NoiseConfig {
+            charge_parity: true,
+            gate_error: true,
+            ..NoiseConfig::ideal()
+        };
+        let sim = Simulator::with_config(dev, cfg);
+        let durations = GateDurations {
+            one_qubit: 0.0,
+            two_qubit: 0.0,
+            ..GateDurations::default()
+        };
+        // φ = 2π·50 kHz·2.5 µs = π/4 per window.
+        let tau = 2500.0;
+        let mut qc = Circuit::new(2, 0);
+        qc.h(0).delay(tau, 0).cz(0, 1).delay(tau, 0).h(0);
+        let sc = schedule_asap(&qc, durations);
+        let z0 = PauliString::parse("ZI").unwrap();
+        let mut echoed = 0;
+        for seed in 0..24 {
+            let (st, _) = sim.run_single(&sc, seed);
+            let z = st.expect_pauli(&z0);
+            if (z.abs() - 1.0).abs() < 1e-9 {
+                echoed += 1;
+            } else {
+                assert!(z.abs() < 1e-9, "seed {seed}: ⟨Z0⟩ = {z}");
+            }
+        }
+        // 8 of the 15 error Paulis carry X or Y on qubit 0.
+        assert!(
+            (6..=20).contains(&echoed),
+            "echoed in {echoed}/24 trajectories"
+        );
     }
 
     #[test]
