@@ -26,12 +26,12 @@
 //! touching `BENCH_scaling.json`.
 
 use ca_bench::Raw;
-use ca_circuit::{schedule_asap, Circuit, GateDurations};
+use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
 use ca_core::{pipeline, CompileOptions, Context, Strategy};
 use ca_device::{uniform_device, Topology};
 use ca_experiments::large_scale;
 use ca_experiments::Budget;
-use ca_sim::{Engine, Job, JobOutput, NoiseConfig, RunResult, Session, Simulator};
+use ca_sim::{Engine, InsertionSet, Job, JobOutput, NoiseConfig, RunResult, Session, Simulator};
 use serde::{Serialize, Value};
 use std::time::Instant;
 
@@ -211,6 +211,18 @@ fn lf_sweep_cold_vs_cached(
     (cold_s, ensemble_s, warm_s, lfs)
 }
 
+/// One cold compile-and-run of `sc` at seed 11 on `workers` threads.
+fn counts_with_workers(
+    sim: &Simulator,
+    sc: &ScheduledCircuit,
+    shots: usize,
+    workers: usize,
+) -> RunResult {
+    sim.compile(sc, 11)
+        .and_then(|c| c.run_counts(shots, &InsertionSet::empty(), Some(workers)))
+        .expect("simulate")
+}
+
 fn time_run(engine: Engine, n: usize, shots: usize) -> (Row, RunResult) {
     let device = uniform_device(Topology::line(n), 60.0);
     let sc = workload(n, 7);
@@ -365,7 +377,6 @@ fn main() {
             },
             Engine::FrameBatch,
         );
-        let engine = ca_sim::BatchedFrameEngine::new(&sim);
         let mut reference: Option<RunResult> = None;
         [1usize, 2, 4, 8]
             .into_iter()
@@ -374,9 +385,7 @@ fn main() {
                 let mut res = None;
                 for _ in 0..3 {
                     let start = Instant::now();
-                    let r = engine
-                        .run_counts_with_workers(&sc, shots, 11, Some(workers))
-                        .expect("simulate");
+                    let r = counts_with_workers(&sim, &sc, shots, workers);
                     best = best.min(start.elapsed().as_secs_f64());
                     res = Some(r);
                 }
@@ -454,11 +463,8 @@ fn main() {
         );
         // Shard/worker invariance on every row of the axis: 1 worker
         // never shards, 8 workers shard the sampling pass at 433+.
-        let engine = ca_sim::BatchedFrameEngine::new(&sim);
         for workers in [1usize, 2, 8] {
-            let got = engine
-                .run_counts_with_workers(&sc, shots, 11, Some(workers))
-                .expect("simulate");
+            let got = counts_with_workers(&sim, &sc, shots, workers);
             assert_eq!(
                 reference, got,
                 "worker count {workers} changed {n}q heavy-hex counts"

@@ -13,7 +13,7 @@
 //! `f_b = Σ_a (−1)^{⟨a,b⟩} p_a` with `⟨a,b⟩` the symplectic product
 //! (1 when the Paulis anticommute), and the transform is its own
 //! inverse up to `4^{−k}`. Cycle benchmarking measures `f`, PEC needs
-//! `p` (and `1/f` — see [`crate::invert`]); everything in this module
+//! `p` (and `1/f` — see [`crate::invert()`]); everything in this module
 //! is exact arithmetic on those vectors.
 
 use ca_circuit::Pauli;

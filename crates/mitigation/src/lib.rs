@@ -20,7 +20,7 @@
 //!   through `d` twirled layer applications, and fits the
 //!   exponential decay of every Pauli fidelity with
 //!   [`ca_metrics::fit_decay`];
-//! * [`invert`] — the quasi-probability inverter with exact γ
+//! * [`mod@invert`] — the quasi-probability inverter with exact γ
 //!   accounting (`γ = Σ|q|`, always ≥ 1, multiplicative over
 //!   partitions and layer applications);
 //! * [`pec`] — the PEC executor: draws inverse-channel Pauli

@@ -1,5 +1,5 @@
 //! Offline JSON shim: renders and parses the `serde` shim's
-//! [`Value`](serde::Value) tree. Covers the workspace's needs —
+//! [`Value`] tree. Covers the workspace's needs —
 //! `to_string`, `to_string_pretty`, `from_str` — with exact `f64`
 //! round-tripping (shortest-representation formatting).
 
@@ -49,6 +49,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 /// Parses JSON text into a raw [`Value`] tree.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -149,6 +150,8 @@ fn write_string(out: &mut String, s: &str) {
 // --- parser -------------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -287,12 +290,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or backslash as one slice. Both are ASCII,
+                    // so the run ends on a character boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |run| self.pos + run);
+                    let run = self
+                        .text
+                        .get(self.pos..end)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -307,7 +317,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = self.text.get(start..self.pos).unwrap_or_default();
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| Error(format!("bad number `{text}` at byte {start}")))
@@ -327,11 +337,16 @@ mod tests {
             Value::Num(-3.0),
             Value::Num(0.1),
             Value::Str("a \"quoted\"\nline".into()),
+            Value::Str("café \"😀\"\t😀é\\".into()),
         ] {
             let mut s = String::new();
             write_value(&mut s, &v, None, 0);
             assert_eq!(parse_value(&s).unwrap(), v, "{s}");
         }
+        // `\u` escapes between raw multi-byte characters.
+        let parsed = parse_value(r#""é\u00e9😀\u0041\"😀\\é\n""#).unwrap();
+        assert_eq!(parsed, Value::Str("éé😀A\"😀\\é\n".into()));
+        assert!(parse_value(r#""é\ud83d😀""#).is_err(), "lone surrogate");
     }
 
     #[test]
@@ -358,6 +373,19 @@ mod tests {
         assert_eq!(parse_value(&compact).unwrap(), v);
         assert_eq!(parse_value(&pretty).unwrap(), v);
         assert!(pretty.contains('\n'));
+    }
+
+    #[test]
+    fn parses_a_4_mib_string_value() {
+        // Plain runs are copied as slices: linear in the input.
+        let body = "é😀a".repeat(300_000);
+        let json = format!("{{\"s\":\"{body}\\n{body}\"}}");
+        assert!(json.len() > 4 << 20);
+        let parsed = parse_value(&json).unwrap();
+        assert_eq!(
+            parsed,
+            Value::Obj(vec![("s".into(), Value::Str(format!("{body}\n{body}")))])
+        );
     }
 
     #[test]

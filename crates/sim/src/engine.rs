@@ -1,17 +1,26 @@
-//! The engine abstraction: shot execution behind a trait, with three
-//! implementations and an auto-selection policy. Dispatch is
-//! panic-free: every entry point validates the circuit up front and
-//! returns a structured [`SimError`] instead of crashing.
+//! Engine selection: the three backends and the policy that picks
+//! one per circuit. Resolution is panic-free: it validates the
+//! circuit up front and returns a structured [`SimError`] instead of
+//! crashing.
 //!
-//! * [`StatevectorEngine`] — the dense trajectory executor: exact for
-//!   every gate and for coherent context-dependent noise, but
-//!   exponential in qubits (hard cap 24).
-//! * [`crate::StabilizerEngine`] — CHP tableau + serial Pauli frames:
-//!   linear scaling for Clifford circuits, one frame per shot. The
-//!   reference implementation for the frame model.
-//! * [`crate::BatchedFrameEngine`] — the same frame model propagated
-//!   64 shots per machine word with bit-identical seeded counts;
-//!   the engine the large-scale workloads run on.
+//! Every engine runs through one compiled path ([`crate::session`]):
+//! [`Simulator::compile`] resolves the engine, builds the timeline
+//! plan and precompiles that engine's program into a
+//! [`crate::CompiledCircuit`]. The one-shot [`Simulator::run_counts`]
+//! and [`Simulator::expect_paulis`] compile and then run once.
+//!
+//! * [`Engine::Statevector`] — the dense trajectory executor
+//!   ([`crate::executor`]): exact for every gate and for coherent
+//!   context-dependent noise, but exponential in qubits (hard cap
+//!   24).
+//! * [`Engine::Stabilizer`] — CHP tableau + serial Pauli frames
+//!   ([`crate::pauli_frame`]): linear scaling for Clifford circuits,
+//!   one frame per shot. The reference implementation for the frame
+//!   model.
+//! * [`Engine::FrameBatch`] — the same frame model propagated 64
+//!   shots per machine word ([`crate::frame_batch`]) with
+//!   bit-identical seeded counts; the engine the large-scale
+//!   workloads run on.
 //!
 //! ## Selection rules (`Engine::Auto`, the default)
 //!
@@ -27,7 +36,7 @@
 //!    gate (`Rx(θ)`, `T`-free `U`, `Can`), or a conditional wrapping
 //!    a non-Pauli non-diagonal gate → statevector, **if** it fits
 //!    the dense cap; otherwise no engine supports the circuit and
-//!    dispatch returns [`SimError::NoSupportingEngine`] naming both
+//!    resolution returns [`SimError::NoSupportingEngine`] naming both
 //!    the cap and the offending gate.
 //! 2. A frame-representable circuit (feed-forward included) on more
 //!    than [`AUTO_DENSE_MAX_QUBITS`] qubits → the batched frame
@@ -42,10 +51,8 @@
 
 use crate::error::SimError;
 use crate::executor::Simulator;
-use crate::frame_batch::BatchedFrameEngine;
-use crate::pauli_frame::{stabilizer_check, stabilizer_supports, StabilizerEngine};
-use crate::result::RunResult;
-use ca_circuit::{PauliString, ScheduledCircuit};
+use crate::pauli_frame::{stabilizer_check, stabilizer_supports};
+use ca_circuit::ScheduledCircuit;
 
 /// Hard qubit cap of the dense statevector engine (2ⁿ amplitudes).
 pub const DENSE_MAX_QUBITS: usize = 24;
@@ -74,6 +81,19 @@ pub enum Engine {
     FrameBatch,
 }
 
+impl Engine {
+    /// The engine's name in logs, reports and plan-cache keys:
+    /// `"auto"`, `"statevector"`, `"stabilizer"` or `"frame-batch"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Auto => "auto",
+            Engine::Statevector => "statevector",
+            Engine::Stabilizer => "stabilizer",
+            Engine::FrameBatch => "frame-batch",
+        }
+    }
+}
+
 /// Validates that every instruction's operand list matches its gate's
 /// declared arity. Shared pre-flight for all engines: the simulators'
 /// inner loops assume 1- and 2-qubit operand lists and must never see
@@ -95,175 +115,36 @@ pub fn check_gate_arities(sc: &ScheduledCircuit) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Shot execution abstracted over backends. All execution methods
-/// validate the circuit and return [`SimError`] rather than panic.
-pub trait SimEngine {
-    /// Engine name for logs and reports.
-    fn name(&self) -> &'static str;
-
-    /// `Ok` when this engine can execute the scheduled circuit;
-    /// otherwise the specific constraint it violates.
-    fn validate(&self, sc: &ScheduledCircuit) -> Result<(), SimError>;
-
-    /// True when this engine can execute the scheduled circuit.
-    fn supports(&self, sc: &ScheduledCircuit) -> bool {
-        self.validate(sc).is_ok()
-    }
-
-    /// Runs `shots` and gathers classical-bit counts.
-    fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError>;
-
-    /// Averages quantum Pauli expectations over `shots`.
-    fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError>;
-
-    /// Convenience: a single Pauli expectation.
-    fn expect_pauli(
-        &self,
-        sc: &ScheduledCircuit,
-        pauli: &PauliString,
-        shots: usize,
-        seed: u64,
-    ) -> Result<f64, SimError> {
-        Ok(self.expect_paulis(sc, std::slice::from_ref(pauli), shots, seed)?[0])
-    }
-}
-
-/// The dense statevector engine, borrowing a simulator configuration.
-pub struct StatevectorEngine<'a> {
-    /// The owning simulator (device + noise configuration).
-    pub sim: &'a Simulator,
-}
-
-impl SimEngine for StatevectorEngine<'_> {
-    fn name(&self) -> &'static str {
-        "statevector"
-    }
-
-    fn validate(&self, sc: &ScheduledCircuit) -> Result<(), SimError> {
-        check_gate_arities(sc)?;
-        if sc.num_qubits > DENSE_MAX_QUBITS {
-            return Err(SimError::DenseCapExceeded {
-                qubits: sc.num_qubits,
-                max: DENSE_MAX_QUBITS,
-            });
-        }
-        Ok(())
-    }
-
-    fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        self.validate(sc)?;
-        self.sim.run_counts_dense(sc, shots, seed)
-    }
-
-    fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        self.validate(sc)?;
-        self.sim.expect_paulis_dense(sc, paulis, shots, seed)
-    }
-}
-
-impl SimEngine for StabilizerEngine<'_> {
-    fn name(&self) -> &'static str {
-        "stabilizer"
-    }
-
-    fn validate(&self, sc: &ScheduledCircuit) -> Result<(), SimError> {
-        stabilizer_check(sc)
-    }
-
-    fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        StabilizerEngine::run_counts(self, sc, shots, seed)
-    }
-
-    fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        StabilizerEngine::expect_paulis(self, sc, paulis, shots, seed)
-    }
-}
-
-impl SimEngine for BatchedFrameEngine<'_> {
-    fn name(&self) -> &'static str {
-        "frame-batch"
-    }
-
-    fn validate(&self, sc: &ScheduledCircuit) -> Result<(), SimError> {
-        stabilizer_check(sc)
-    }
-
-    fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        BatchedFrameEngine::run_counts(self, sc, shots, seed)
-    }
-
-    fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        BatchedFrameEngine::expect_paulis(self, sc, paulis, shots, seed)
-    }
-}
-
 impl Simulator {
-    /// Resolves the engine for a circuit according to the simulator's
-    /// [`Engine`] setting and the module-level selection rules.
+    /// Resolves the concrete engine (never [`Engine::Auto`]) that runs
+    /// `sc`, per the simulator's [`Engine`] setting and the
+    /// module-level selection rules. [`Self::compile`] calls it before
+    /// building any plan.
     ///
-    /// Forced engines always resolve (their execution methods report
-    /// unsupported circuits); `Auto` detects the no-engine case up
-    /// front and returns [`SimError::NoSupportingEngine`] naming both
-    /// the dense qubit cap and the Clifford requirement.
-    pub fn engine_for<'a>(
-        &'a self,
-        sc: &ScheduledCircuit,
-    ) -> Result<Box<dyn SimEngine + 'a>, SimError> {
+    /// The statevector engine is checked here for operand arity and
+    /// the dense qubit cap ([`SimError::DenseCapExceeded`]); `Auto`
+    /// additionally reports the no-engine case as
+    /// [`SimError::NoSupportingEngine`], naming both the dense cap and
+    /// the blocking gate. A forced frame engine always resolves: its
+    /// program build reports circuits outside its class.
+    pub(crate) fn resolve_engine(&self, sc: &ScheduledCircuit) -> Result<Engine, SimError> {
         match self.engine {
-            Engine::Statevector => Ok(Box::new(StatevectorEngine { sim: self })),
-            Engine::Stabilizer => Ok(Box::new(StabilizerEngine::new(self))),
-            Engine::FrameBatch => Ok(Box::new(BatchedFrameEngine::new(self))),
+            Engine::Statevector => {
+                check_gate_arities(sc)?;
+                if sc.num_qubits > DENSE_MAX_QUBITS {
+                    return Err(SimError::DenseCapExceeded {
+                        qubits: sc.num_qubits,
+                        max: DENSE_MAX_QUBITS,
+                    });
+                }
+                Ok(Engine::Statevector)
+            }
             Engine::Auto => {
                 check_gate_arities(sc)?;
-                let frame_ok = stabilizer_supports(sc);
-                if frame_ok && sc.num_qubits > AUTO_DENSE_MAX_QUBITS {
-                    Ok(Box::new(BatchedFrameEngine::new(self)))
+                if sc.num_qubits > AUTO_DENSE_MAX_QUBITS && stabilizer_supports(sc) {
+                    Ok(Engine::FrameBatch)
                 } else if sc.num_qubits <= DENSE_MAX_QUBITS {
-                    Ok(Box::new(StatevectorEngine { sim: self }))
+                    Ok(Engine::Statevector)
                 } else {
                     let blocking_gate = match stabilizer_check(sc) {
                         Err(SimError::NotClifford { gate })
@@ -278,13 +159,16 @@ impl Simulator {
                     })
                 }
             }
+            forced => Ok(forced),
         }
     }
 
-    /// The engine name [`Self::engine_for`] resolves to for this
-    /// circuit, or the dispatch error.
+    /// The name of the engine [`Self::compile`] resolves for this
+    /// circuit (never `"auto"`; see the module-level selection rules),
+    /// or the resolution error. A forced frame engine resolves by name
+    /// even for circuits outside its class: compiling reports those.
     pub fn engine_name_for(&self, sc: &ScheduledCircuit) -> Result<&'static str, SimError> {
-        Ok(self.engine_for(sc)?.name())
+        Ok(self.resolve_engine(sc)?.name())
     }
 }
 
@@ -334,10 +218,7 @@ mod tests {
         }
         qc.append(Gate::Rx(0.3), [0]);
         let sc = sched(&qc);
-        let err = match sim.engine_for(&sc) {
-            Err(e) => e,
-            Ok(engine) => panic!("expected no-engine error, resolved {}", engine.name()),
-        };
+        let err = sim.resolve_engine(&sc).unwrap_err();
         assert_eq!(
             err,
             SimError::NoSupportingEngine {
@@ -406,18 +287,88 @@ mod tests {
         );
     }
 
+    /// Every engine setting against every circuit class: the resolved
+    /// name agrees with the compiled artifact's, and the compile and
+    /// one-shot entry points fail with the same error.
     #[test]
     fn forced_engines_are_respected() {
-        let dev = uniform_device(Topology::line(2), 0.0);
-        let mut sim = Simulator::with_config(dev, NoiseConfig::ideal());
-        let mut qc = Circuit::new(2, 0);
-        qc.h(0).cx(0, 1);
-        sim.engine = Engine::Stabilizer;
-        assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "stabilizer");
-        sim.engine = Engine::Statevector;
-        assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "statevector");
-        sim.engine = Engine::FrameBatch;
-        assert_eq!(sim.engine_name_for(&sched(&qc)).unwrap(), "frame-batch");
+        let n = 40;
+        let clifford = |n: usize| {
+            let mut qc = Circuit::new(n, 0);
+            for q in 0..n - 1 {
+                qc.cx(q, q + 1);
+            }
+            qc
+        };
+        let rx = |n: usize| {
+            let mut qc = clifford(n);
+            qc.append(Gate::Rx(0.3), [0]);
+            qc
+        };
+        let mut feed_forward = Circuit::new(n, 1);
+        feed_forward.h(0).cx(0, 1).h(0).measure(0, 0);
+        feed_forward.gate_if(Gate::Z, [1], 0, true);
+        feed_forward.gate_if(Gate::Rz(0.3), [1], 0, true);
+        // An engine name, or the error a column's setting reports.
+        let outcome = |code: &'static str| match code {
+            "cap" => Err(SimError::DenseCapExceeded {
+                qubits: n,
+                max: DENSE_MAX_QUBITS,
+            }),
+            "no-engine" => Err(SimError::NoSupportingEngine {
+                qubits: n,
+                dense_max: DENSE_MAX_QUBITS,
+                blocking_gate: "rx",
+            }),
+            "not-clifford" => Err(SimError::NotClifford { gate: "rx" }),
+            name => Ok(name),
+        };
+        let (sv, st, fb) = ("statevector", "stabilizer", "frame-batch");
+        // Columns: Auto, Statevector, Stabilizer, FrameBatch.
+        let table = [
+            ("small clifford", clifford(2), [sv, sv, st, fb]),
+            ("40q clifford", clifford(n), [fb, "cap", st, fb]),
+            ("small rx", rx(2), [sv, sv, "not-clifford", "not-clifford"]),
+            (
+                "40q rx",
+                rx(n),
+                ["no-engine", "cap", "not-clifford", "not-clifford"],
+            ),
+            ("40q feed-forward", feed_forward, [fb, "cap", st, fb]),
+        ];
+        let engines = [
+            Engine::Auto,
+            Engine::Statevector,
+            Engine::Stabilizer,
+            Engine::FrameBatch,
+        ];
+        for (label, qc, row) in table {
+            let sc = sched(&qc);
+            let dev = uniform_device(Topology::line(sc.num_qubits), 0.0);
+            for (engine, code) in engines.into_iter().zip(row) {
+                let sim = Simulator::with_engine(dev.clone(), NoiseConfig::ideal(), engine);
+                let resolved = sim.engine_name_for(&sc);
+                let compiled = sim.compile(&sc, 5).map(|c| c.engine_name());
+                assert_eq!(compiled, outcome(code), "{label} on {engine:?}");
+                let Err(err) = compiled else {
+                    assert_eq!(resolved, compiled, "{label} on {engine:?}");
+                    continue;
+                };
+                // A forced frame engine resolves by name; its program
+                // build reports the unsupported gate.
+                let by_name = matches!(err, SimError::NotClifford { .. });
+                let want = if by_name {
+                    Ok(engine.name())
+                } else {
+                    Err(err.clone())
+                };
+                assert_eq!(resolved, want, "{label} on {engine:?}");
+                assert_eq!(sim.run_counts(&sc, 10, 5).unwrap_err(), err, "{label}");
+                let z = ca_circuit::PauliString::identity(sc.num_qubits);
+                let expect_err = sim.expect_paulis(&sc, &[z], 10, 5).unwrap_err();
+                assert_eq!(expect_err, err, "{label}");
+            }
+        }
     }
 
     #[test]

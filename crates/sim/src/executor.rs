@@ -26,7 +26,7 @@ use crate::error::SimError;
 use crate::noise::{damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise};
 use crate::obs_util::{time_engine_phase, PhaseTimer};
 use crate::plan::{map_shots, ExecutionPlan, PlanOp};
-use crate::result::RunResult;
+use crate::result::{mean_from_parts, RunResult};
 use crate::statevector::{Decay, DiagTable, FlushGate, PauliMask, State};
 use ca_circuit::c64::{C64, ONE};
 use ca_circuit::matrix::{Mat2, Mat4};
@@ -74,10 +74,6 @@ impl Simulator {
             config,
             engine,
         }
-    }
-
-    fn plan(&self, sc: &ScheduledCircuit) -> Result<ExecutionPlan, SimError> {
-        ExecutionPlan::build(sc, &self.device, &self.config)
     }
 
     /// Resolves every scheduled item into its [`DenseOp`], once per
@@ -370,47 +366,11 @@ impl Simulator {
         (st, bits)
     }
 
-    /// Runs `shots` and gathers classical-bit counts, dispatching to
-    /// the engine the [`Engine`] policy selects for this circuit.
-    /// Unsupported circuits yield a [`SimError`], never a panic.
-    pub fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        self.engine_for(sc)?.run_counts(sc, shots, seed)
-    }
-
-    /// Averages the quantum expectation values of the given Pauli
-    /// strings over `shots`, dispatching like [`Self::run_counts`].
-    pub fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        self.engine_for(sc)?.expect_paulis(sc, paulis, shots, seed)
-    }
-
-    /// Runs `shots` trajectories on the dense statevector engine.
-    /// Callers (the [`crate::StatevectorEngine`] trait impl) validate
-    /// arity and the qubit cap first.
-    pub(crate) fn run_counts_dense(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        let plan = self.plan(sc)?;
-        self.run_counts_dense_plan(&plan, shots, seed, None)
-    }
-
-    /// [`Self::run_counts_dense`] over a prebuilt plan — the entry the
-    /// compiled-artifact layer uses so cached plans skip replanning.
-    /// `cancel` is polled at shot-chunk boundaries.
-    pub(crate) fn run_counts_dense_plan(
+    /// Runs `shots` dense trajectories over a prebuilt plan and
+    /// gathers classical-bit counts: the statevector backend of
+    /// [`crate::CompiledCircuit`], which has already checked arity and
+    /// the qubit cap. `cancel` is polled at shot-chunk boundaries.
+    pub(crate) fn dense_counts(
         &self,
         plan: &ExecutionPlan,
         shots: usize,
@@ -435,22 +395,10 @@ impl Simulator {
         }))
     }
 
-    /// Dense-engine Pauli expectations (no sampling noise beyond the
-    /// stochastic noise processes themselves).
-    pub(crate) fn expect_paulis_dense(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        let plan = self.plan(sc)?;
-        self.expect_paulis_dense_plan(&plan, paulis, shots, seed, None)
-    }
-
-    /// [`Self::expect_paulis_dense`] over a prebuilt plan. `cancel` is
-    /// polled at shot-chunk boundaries.
-    pub(crate) fn expect_paulis_dense_plan(
+    /// Trajectory-averaged Pauli expectations over a prebuilt plan (no
+    /// sampling noise beyond the stochastic noise processes
+    /// themselves). `cancel` is polled at shot-chunk boundaries.
+    pub(crate) fn dense_expectations(
         &self,
         plan: &ExecutionPlan,
         paulis: &[PauliString],
@@ -474,36 +422,15 @@ impl Simulator {
             },
         )?;
         Ok(time_engine_phase("reduction", || {
-            let mut out = vec![0.0; paulis.len()];
-            for part in parts {
-                for (o, p) in out.iter_mut().zip(part.iter()) {
-                    *o += p;
-                }
-            }
-            for o in &mut out {
-                *o /= shots as f64;
-            }
-            out
+            mean_from_parts(shots, paulis.len(), parts)
         }))
-    }
-
-    /// Convenience: single Pauli expectation.
-    pub fn expect_pauli(
-        &self,
-        sc: &ScheduledCircuit,
-        pauli: &PauliString,
-        shots: usize,
-        seed: u64,
-    ) -> Result<f64, SimError> {
-        Ok(self.expect_paulis(sc, std::slice::from_ref(pauli), shots, seed)?[0])
     }
 
     /// Runs a single dense trajectory (deterministic for a given seed)
     /// and returns the final state and classical bits. Test hook;
     /// always uses the statevector engine (a tableau has no `State`).
     pub fn run_single(&self, sc: &ScheduledCircuit, seed: u64) -> (State, Vec<bool>) {
-        let planned = self
-            .plan(sc)
+        let planned = ExecutionPlan::build(sc, &self.device, &self.config)
             .and_then(|plan| Ok((self.dense_ops(&plan)?, plan)));
         let (ops, plan) = planned.expect("run_single: malformed or unplannable circuit"); // ca-lint: allow(panic) -- run_single is a fail-loud debug entry; batch paths return Result
         let mut rng = StdRng::seed_from_u64(seed);

@@ -15,7 +15,7 @@
 //! acts **GF(2)-linearly** on a Pauli's symplectic bits: the image of
 //! `Y = i·XZ` is the XOR of the images of `X` and `Z`. Each cached
 //! conjugation table therefore collapses to a tiny GF(2) matrix
-//! ([`Symp1`]: 2×2, [`Symp2`]: 4×4) applied word-wise — exactly the
+//! (`Symp1`: 2×2, `Symp2`: 4×4) applied word-wise — exactly the
 //! same frame update the serial engine performs one shot at a time.
 //!
 //! Noise needs per-shot randomness, and here the two serial-path
@@ -29,19 +29,19 @@
 //! * the pending Z/ZZ banks are RNG-*independent* (the stochastic
 //!   rate multiplies the signed time only at flush), so the entire
 //!   bank evolution is precomputed **once per plan** into a linear
-//!   [`BatchOp`] program with per-noise-code threshold tables. At run
+//!   `BatchOp` program with per-noise-code threshold tables. At run
 //!   time a strip hashes every noise decision into a mask buffer, then
 //!   replays the program as straight-line word arithmetic over it.
 //!
-//! The result: classical counts are bit-for-bit equal to
-//! [`crate::StabilizerEngine`] for any seed, any shot count (tail
+//! The result: classical counts are bit-for-bit equal to the serial
+//! [`crate::Engine::Stabilizer`] for any seed, any shot count (tail
 //! strips simply run fewer lanes), and any worker-thread count
 //! (strips are independent; expectation sums are reduced in strip
 //! order, and each shot contributes an integer ±1, so even the f64
 //! accumulations are exact).
 //!
 //! Classical feed-forward batches too: a conditional gate becomes a
-//! lane-masked [`BatchOp::CondGate`] whose per-lane firing decision
+//! lane-masked `BatchOp::CondGate` whose per-lane firing decision
 //! is read from the lane's classical-bit plane and XOR-ed against
 //! the shared reference run's — the serial engine's exact rule,
 //! evaluated 64 shots at a time — while conditional *diagonal*
@@ -57,11 +57,11 @@ use crate::plan::{
     lt_mask, lt_masks, map_batches, pick, plane, shot_key, site, site_draw, worker_count, PlanOp,
     ShotParams, LATTICE_STEPS,
 };
-use crate::result::{PauliFlips, RunResult};
+use crate::result::{mean_from_parts, PauliFlips, RunResult};
 use crate::stabilizer::pauli_to_bits;
 use ca_circuit::clifford::Table2Q;
 use ca_circuit::pauli::{Pauli, PauliString};
-use ca_circuit::{Gate, ScheduledCircuit};
+use ca_circuit::Gate;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -391,14 +391,6 @@ fn bank_table(stat: f64, time: f64, cp: f64, qk: f64) -> Arc<[u64]> {
 }
 
 impl BatchPlan {
-    /// Builds the frame plan (reference tableau run included) and
-    /// compiles the scheduled circuit + noise timeline into the
-    /// linear batch program by replaying the serial sampler's control
-    /// flow once with scalar banks.
-    pub fn build(sim: &Simulator, sc: &ScheduledCircuit, seed: u64) -> Result<Self, SimError> {
-        Ok(Self::from_frame(sim, FramePlan::build(sim, sc, seed)?))
-    }
-
     /// Compiles the batch program for an already-built frame plan.
     /// The program replays the instance's own bank toggles (twirl
     /// X/Y pulses flip bank signs), so every twirl instance compiles
@@ -1484,16 +1476,7 @@ impl BatchPlan {
                 .collect()
         })?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            let mut out = vec![0.0; paulis.len()];
-            for part in partials {
-                for (o, p) in out.iter_mut().zip(part.iter()) {
-                    *o += p;
-                }
-            }
-            for o in &mut out {
-                *o /= params.shots as f64;
-            }
-            out
+            mean_from_parts(params.shots, paulis.len(), partials)
         }))
     }
 
@@ -1574,167 +1557,6 @@ impl StripOut {
     }
 }
 
-/// The bit-parallel batched frame engine (see the module docs): a
-/// [`crate::SimEngine`] over a borrowed simulator configuration,
-/// producing bit-identical seeded counts to the serial
-/// [`crate::StabilizerEngine`] at a fraction of the cost.
-pub struct BatchedFrameEngine<'a> {
-    /// The owning simulator (device + noise configuration).
-    pub sim: &'a Simulator,
-}
-
-impl<'a> BatchedFrameEngine<'a> {
-    /// Borrows the simulator.
-    pub fn new(sim: &'a Simulator) -> Self {
-        Self { sim }
-    }
-
-    /// Shot-sampled classical counts (see [`crate::SimEngine`]).
-    pub fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        self.run_counts_with_workers(sc, shots, seed, None)
-    }
-
-    /// [`Self::run_counts`] with an explicit worker-thread count —
-    /// the determinism hook: counts are identical for every choice.
-    pub fn run_counts_with_workers(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-        workers: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
-        plan.counts(
-            self.sim,
-            &InsertionSet::empty(),
-            ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-
-    /// [`Self::run_counts`] with scheduled per-shot Pauli insertions
-    /// (see [`crate::insert`]): bit-identical to the serial engine's
-    /// [`crate::StabilizerEngine::run_counts_with_insertions`] for
-    /// any seed, shot count, and worker count.
-    pub fn run_counts_with_insertions(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-        workers: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
-        plan.counts(
-            self.sim,
-            ins,
-            ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-
-    /// Frame-averaged Pauli expectations (see [`crate::SimEngine`]).
-    pub fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        self.expect_paulis_with_workers(sc, paulis, shots, seed, None)
-    }
-
-    /// [`Self::expect_paulis`] with an explicit worker-thread count.
-    /// Per-strip partial sums are reduced in strip order and every
-    /// shot contributes an integer ±1, so the result is bit-identical
-    /// for every worker count — and equal to the serial engine's.
-    pub fn expect_paulis_with_workers(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        workers: Option<usize>,
-    ) -> Result<Vec<f64>, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
-        plan.expectations(
-            self.sim,
-            paulis,
-            &InsertionSet::empty(),
-            ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-
-    /// [`Self::expect_paulis`] with scheduled per-shot Pauli
-    /// insertions.
-    pub fn expect_paulis_with_insertions(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-        workers: Option<usize>,
-    ) -> Result<Vec<f64>, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
-        plan.expectations(
-            self.sim,
-            paulis,
-            ins,
-            ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-
-    /// Per-shot ±1 outcomes (see [`crate::result::PauliFlips`]):
-    /// bit-identical to the serial engine's
-    /// [`crate::StabilizerEngine::expect_flips`].
-    pub fn expect_flips(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-        workers: Option<usize>,
-    ) -> Result<PauliFlips, SimError> {
-        let plan = BatchPlan::build(self.sim, sc, seed)?;
-        plan.flips(
-            self.sim,
-            paulis,
-            ins,
-            ShotParams {
-                shots,
-                seed,
-                workers,
-                cancel: None,
-            },
-        )
-    }
-}
-
 /// Verifies a 1q table's symplectic form against direct lookups —
 /// exposed for the property tests.
 #[cfg(test)]
@@ -1751,15 +1573,33 @@ fn symp1_matches_table(table: &[(i8, Pauli); 4]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::insert::PauliInsertion;
     use crate::noise::NoiseConfig;
-    use crate::pauli_frame::StabilizerEngine;
+    use crate::plan::ExecutionPlan;
+    use crate::session::CompiledCircuit;
     use ca_circuit::clifford::{conjugation_table_1q, conjugation_table_2q};
-    use ca_circuit::{schedule_asap, Circuit, GateDurations};
+    use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
     use ca_device::{uniform_device, Topology};
 
     fn sched(qc: &Circuit) -> ScheduledCircuit {
         schedule_asap(qc, GateDurations::default())
+    }
+
+    /// `sc` compiled on one frame engine: [`Engine::Stabilizer`] is
+    /// the serial reference, [`Engine::FrameBatch`] this engine.
+    fn compiled(
+        sim: &Simulator,
+        engine: Engine,
+        sc: &ScheduledCircuit,
+        seed: u64,
+    ) -> CompiledCircuit {
+        Simulator {
+            engine,
+            ..sim.clone()
+        }
+        .compile(sc, seed)
+        .unwrap()
     }
 
     #[test]
@@ -1840,11 +1680,14 @@ mod tests {
     fn batch_counts_bit_identical_to_serial() {
         let (sim, qc) = noisy_workload();
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let none = InsertionSet::empty();
         for (shots, seed) in [(1usize, 3u64), (63, 5), (64, 7), (65, 9), (200, 11)] {
-            let a = serial.run_counts(&sc, shots, seed).unwrap();
-            let b = batch.run_counts(&sc, shots, seed).unwrap();
+            let a = compiled(&sim, Engine::Stabilizer, &sc, seed)
+                .run_counts(shots, &none, None)
+                .unwrap();
+            let b = compiled(&sim, Engine::FrameBatch, &sc, seed)
+                .run_counts(shots, &none, None)
+                .unwrap();
             assert_eq!(a, b, "shots {shots} seed {seed}");
         }
     }
@@ -1858,7 +1701,9 @@ mod tests {
     fn sharded_strip_matches_unsharded_for_every_shard_count() {
         let (sim, qc) = noisy_workload();
         let sc = sched(&qc);
-        let plan = BatchPlan::build(&sim, &sc, 17).unwrap();
+        let exec = ExecutionPlan::build_arc(Arc::new(sc), &sim.device, &sim.config).unwrap();
+        let frame = FramePlan::build_with_plan(exec.sc.clone(), Arc::new(exec), 17).unwrap();
+        let plan = BatchPlan::from_frame(&sim, frame);
         let ins = InsertionSet::empty();
         for (base, active) in [(0usize, STRIP_SHOTS), (STRIP_SHOTS, 77)] {
             let reference = plan.run_strip(&sim, 17, base, active, &ins, 1);
@@ -1885,16 +1730,19 @@ mod tests {
         let (sim, qc) = noisy_workload();
         let qc = without_measurements(qc);
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
         let obs = [
             PauliString::parse("ZZIII").unwrap(),
             PauliString::parse("IXXII").unwrap(),
             PauliString::parse("IIIZZ").unwrap(),
             PauliString::parse("YIIIY").unwrap(),
         ];
-        let a = serial.expect_paulis(&sc, &obs, 300, 17).unwrap();
-        let b = batch.expect_paulis(&sc, &obs, 300, 17).unwrap();
+        let none = InsertionSet::empty();
+        let a = compiled(&sim, Engine::Stabilizer, &sc, 17)
+            .expect_paulis(&obs, 300, &none, None)
+            .unwrap();
+        let b = compiled(&sim, Engine::FrameBatch, &sc, 17)
+            .expect_paulis(&obs, 300, &none, None)
+            .unwrap();
         assert_eq!(a, b, "expectation sums are integer-exact");
     }
 
@@ -1902,14 +1750,11 @@ mod tests {
     fn counts_independent_of_worker_count() {
         let (sim, qc) = noisy_workload();
         let sc = sched(&qc);
-        let batch = BatchedFrameEngine::new(&sim);
-        let reference = batch
-            .run_counts_with_workers(&sc, 500, 23, Some(1))
-            .unwrap();
+        let batch = compiled(&sim, Engine::FrameBatch, &sc, 23);
+        let none = InsertionSet::empty();
+        let reference = batch.run_counts(500, &none, Some(1)).unwrap();
         for workers in [2usize, 3, 8] {
-            let got = batch
-                .run_counts_with_workers(&sc, 500, 23, Some(workers))
-                .unwrap();
+            let got = batch.run_counts(500, &none, Some(workers)).unwrap();
             assert_eq!(reference, got, "{workers} workers");
         }
     }
@@ -1940,16 +1785,15 @@ mod tests {
             })
             .collect();
         let ins = InsertionSet::build(&sc, &list).unwrap();
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial
-            .run_counts_with_insertions(&sc, shots, 5, &ins)
+        let batch = compiled(&sim, Engine::FrameBatch, &sc, 5);
+        let a = compiled(&sim, Engine::Stabilizer, &sc, 5)
+            .run_counts(shots, &ins, None)
             .unwrap();
-        let b = batch
-            .run_counts_with_insertions(&sc, shots, 5, &ins, None)
-            .unwrap();
+        let b = batch.run_counts(shots, &ins, None).unwrap();
         assert_eq!(a, b, "insertion runs must stay bit-identical");
-        let plain = batch.run_counts(&sc, shots, 5).unwrap();
+        let plain = batch
+            .run_counts(shots, &InsertionSet::empty(), None)
+            .unwrap();
         assert_ne!(a, plain, "insertions must change sampled outcomes");
     }
 
@@ -1958,8 +1802,7 @@ mod tests {
         let (sim, qc) = noisy_workload();
         let qc = without_measurements(qc);
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let batch = compiled(&sim, Engine::FrameBatch, &sc, 9);
         let obs = [
             PauliString::parse("ZZIII").unwrap(),
             PauliString::parse("IXXII").unwrap(),
@@ -1967,10 +1810,12 @@ mod tests {
         ];
         let none = InsertionSet::empty();
         // 130 shots: two full words plus a partial tail word.
-        let fs = serial.expect_flips(&sc, &obs, 130, 9, &none).unwrap();
-        let fb = batch.expect_flips(&sc, &obs, 130, 9, &none, None).unwrap();
+        let fs = compiled(&sim, Engine::Stabilizer, &sc, 9)
+            .expect_flips(&obs, 130, &none, None)
+            .unwrap();
+        let fb = batch.expect_flips(&obs, 130, &none, None).unwrap();
         assert_eq!(fs, fb, "per-shot flips must be bit-identical");
-        let means = batch.expect_paulis(&sc, &obs, 130, 9).unwrap();
+        let means = batch.expect_paulis(&obs, 130, &none, None).unwrap();
         for (o, m) in means.iter().enumerate() {
             assert_eq!(fb.mean(o), *m, "observable {o}");
         }
@@ -2008,21 +1853,21 @@ mod tests {
     fn conditional_circuits_stay_bit_identical_to_serial() {
         let (sim, qc) = dynamic_workload();
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let none = InsertionSet::empty();
         for (shots, seed) in [(1usize, 3u64), (63, 5), (64, 7), (65, 9), (257, 11)] {
-            let a = serial.run_counts(&sc, shots, seed).unwrap();
-            let b = batch.run_counts(&sc, shots, seed).unwrap();
+            let a = compiled(&sim, Engine::Stabilizer, &sc, seed)
+                .run_counts(shots, &none, None)
+                .unwrap();
+            let b = compiled(&sim, Engine::FrameBatch, &sc, seed)
+                .run_counts(shots, &none, None)
+                .unwrap();
             assert_eq!(a, b, "shots {shots} seed {seed}");
         }
         // Worker-count independence holds through feed-forward too.
-        let reference = batch
-            .run_counts_with_workers(&sc, 300, 23, Some(1))
-            .unwrap();
+        let batch = compiled(&sim, Engine::FrameBatch, &sc, 23);
+        let reference = batch.run_counts(300, &none, Some(1)).unwrap();
         for workers in [2usize, 3, 8] {
-            let got = batch
-                .run_counts_with_workers(&sc, 300, 23, Some(workers))
-                .unwrap();
+            let got = batch.run_counts(300, &none, Some(workers)).unwrap();
             assert_eq!(reference, got, "{workers} workers");
         }
     }
@@ -2033,15 +1878,18 @@ mod tests {
         // only the final readout round is absent.
         let (sim, qc) = dynamic_workload_with(false);
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
         let obs = [
             PauliString::parse("ZZIII").unwrap(),
             PauliString::parse("IIZZI").unwrap(),
             PauliString::parse("XIIII").unwrap(),
         ];
-        let a = serial.expect_paulis(&sc, &obs, 130, 17).unwrap();
-        let b = batch.expect_paulis(&sc, &obs, 130, 17).unwrap();
+        let none = InsertionSet::empty();
+        let a = compiled(&sim, Engine::Stabilizer, &sc, 17)
+            .expect_paulis(&obs, 130, &none, None)
+            .unwrap();
+        let b = compiled(&sim, Engine::FrameBatch, &sc, 17)
+            .expect_paulis(&obs, 130, &none, None)
+            .unwrap();
         assert_eq!(a, b, "expectation sums are integer-exact");
     }
 
@@ -2063,10 +1911,13 @@ mod tests {
             qc.measure(q, q);
         }
         let sc = sched(&qc);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial.run_counts(&sc, 70, 31).unwrap();
-        let b = batch.run_counts(&sc, 70, 31).unwrap();
+        let none = InsertionSet::empty();
+        let a = compiled(&sim, Engine::Stabilizer, &sc, 31)
+            .run_counts(70, &none, None)
+            .unwrap();
+        let b = compiled(&sim, Engine::FrameBatch, &sc, 31)
+            .run_counts(70, &none, None)
+            .unwrap();
         assert_eq!(a, b);
     }
 }

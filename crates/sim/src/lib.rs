@@ -5,8 +5,12 @@
 //! fixed-frequency superconducting devices — the hardware substitute
 //! for the paper's IBM backends (see DESIGN.md §2).
 //!
-//! Two engines share one noise timeline behind the [`SimEngine`]
-//! trait:
+//! Three engines share one noise timeline and one execution path:
+//! [`Simulator::compile`] resolves the engine ([`engine`]), builds the
+//! timeline plan and precompiles the engine's program into a
+//! [`CompiledCircuit`], which then runs any number of times. The
+//! one-shot [`Simulator::run_counts`] / [`Simulator::expect_paulis`]
+//! compile and run once.
 //!
 //! * **statevector** — a dense state evolved trajectory-by-trajectory:
 //!   exact for all gates and for the coherent context-dependent
@@ -40,14 +44,12 @@
 //! [`SimError`].
 //!
 //! The frame engines additionally support **per-shot Pauli
-//! insertions** ([`insert`]) and compilation into owned, reusable
-//! artifacts ([`session`]): [`Simulator::compile`] produces a
-//! [`CompiledCircuit`] (scheduled circuit + timeline plan + frame
-//! programs + resolved engine, `Send + Sync`), and a [`Session`]
-//! adds an LRU plan cache and a parallel job API on top — compile
-//! once, run millions of shots many times, with results
-//! bit-identical to the one-shot entry points for any cache state
-//! and worker count.
+//! insertions** ([`insert`]). A [`CompiledCircuit`] (scheduled
+//! circuit + timeline plan + engine program, `Send + Sync`) is an
+//! owned, reusable artifact ([`session`]), and a [`Session`] adds an
+//! LRU plan cache and a parallel job API on top — compile once, run
+//! millions of shots many times, with results bit-identical for any
+//! cache state and worker count.
 
 #![warn(missing_docs)]
 
@@ -69,18 +71,14 @@ pub mod statevector;
 pub mod timeline;
 
 pub use cancel::CancelToken;
-pub use engine::{
-    check_gate_arities, Engine, SimEngine, StatevectorEngine, AUTO_DENSE_MAX_QUBITS,
-    DENSE_MAX_QUBITS,
-};
+pub use engine::{check_gate_arities, Engine, AUTO_DENSE_MAX_QUBITS, DENSE_MAX_QUBITS};
 pub use error::SimError;
 pub use executor::{pack_bits, Simulator};
-pub use frame_batch::{BatchPlan, BatchedFrameEngine, LANES};
+pub use frame_batch::{BatchPlan, LANES};
 pub use insert::{InsertionSet, PauliInsertion};
 pub use noise::{NoiseConfig, ShotNoise};
 pub use pauli_frame::{
-    clifford_supports, stabilizer_check, stabilizer_supports, FramePlan, StabilizerEngine,
-    COND_CLBIT_MAX,
+    clifford_supports, stabilizer_check, stabilizer_supports, FramePlan, COND_CLBIT_MAX,
 };
 pub use plan::ExecutionPlan;
 pub use result::{PauliFlips, RunResult};

@@ -82,9 +82,9 @@ use crate::insert::InsertionSet;
 use crate::noise::{damping_prob, dephasing_prob, t_phi_us, ShotNoise};
 use crate::plan::{
     bern_theta, bern_threshold, damping_thresholds, fair_plane, lt_lane, map_shots_indexed, pick,
-    shot_key, site, site_draw, ExecutionPlan, PlanOp,
+    shot_key, site, site_draw, ExecutionPlan, PlanOp, ShotParams,
 };
-use crate::result::{PauliFlips, RunResult};
+use crate::result::{mean_from_parts, PauliFlips, RunResult};
 use crate::stabilizer::{pack_pauli, pauli_from_bits, pauli_to_bits, Tableau};
 use ca_circuit::clifford::{conjugation_table_1q, conjugation_table_2q, Table2Q};
 use ca_circuit::pauli::{Pauli, PauliString};
@@ -297,26 +297,14 @@ fn table_key(gate: &Gate) -> (&'static str, u64) {
 }
 
 impl FramePlan {
-    /// Builds the plan and executes the noiseless reference run.
-    /// Fails with a structured [`SimError`] — never a panic — when the
-    /// circuit is outside the tableau representation (non-Clifford,
-    /// feed-forward, or an instruction whose operand count does not
-    /// match its gate's arity).
-    pub fn build(sim: &Simulator, sc: &ScheduledCircuit, seed: u64) -> Result<Self, SimError> {
-        let sc = Arc::new(sc.clone());
-        let plan = Arc::new(ExecutionPlan::build_arc(
-            sc.clone(),
-            &sim.device,
-            &sim.config,
-        )?);
-        Self::build_with_plan(sc, plan, seed)
-    }
-
     /// Builds the frame plan over a prebuilt (possibly shared)
-    /// timeline plan. `sc` may differ from `plan.sc` only at merged
-    /// single-qubit Pauli slots — the re-dressed-twirl contract; the
-    /// timeline, item indices, and op stream are identical by
-    /// construction there.
+    /// timeline plan and executes the noiseless reference run. `sc`
+    /// may differ from `plan.sc` only at merged single-qubit Pauli
+    /// slots — the re-dressed-twirl contract; the timeline, item
+    /// indices, and op stream are identical by construction there.
+    /// Fails with a structured [`SimError`] — never a panic — when the
+    /// circuit is outside the frame representation (see
+    /// [`stabilizer_check`]).
     pub(crate) fn build_with_plan(
         sc: Arc<ScheduledCircuit>,
         plan: Arc<ExecutionPlan>,
@@ -916,33 +904,46 @@ impl FramePlan {
 }
 
 impl FramePlan {
+    /// Runs every shot over worker threads ([`map_shots_indexed`]),
+    /// handing `per_shot` the shot index and the shot's final frame
+    /// planes and classical bits.
+    fn map_shots<Acc: Send>(
+        &self,
+        sim: &Simulator,
+        ins: &InsertionSet,
+        params: ShotParams<'_>,
+        new_acc: impl Fn() -> Acc + Sync,
+        per_shot: impl Fn(usize, (Vec<u64>, Vec<u64>, Vec<bool>), &mut Acc) + Sync,
+    ) -> Result<Vec<Acc>, SimError> {
+        map_shots_indexed(
+            params.shots,
+            params.workers,
+            params.cancel,
+            new_acc,
+            |i, acc| per_shot(i, self.shot(sim, params.seed, i, ins), acc),
+        )
+    }
+
     /// Shot-sampled classical counts over this prepared plan.
     /// `cancel` is polled at shot-chunk boundaries.
     pub(crate) fn counts(
         &self,
         sim: &Simulator,
         ins: &InsertionSet,
-        params: crate::plan::ShotParams<'_>,
+        params: ShotParams<'_>,
     ) -> Result<RunResult, SimError> {
-        let crate::plan::ShotParams {
-            shots,
-            seed,
-            workers,
-            cancel,
-        } = params;
         let nbits = self.sc.num_clbits;
-        let parts = map_shots_indexed(
-            shots,
-            workers,
-            cancel,
-            std::collections::BTreeMap::<u64, usize>::new,
-            |i, counts| {
-                let (_, _, bits) = self.shot(sim, seed, i, ins);
+        let parts = self.map_shots(
+            sim,
+            ins,
+            params,
+            BTreeMap::new,
+            |_, (_, _, bits), counts| {
                 *counts.entry(pack_bits(&bits, nbits)).or_insert(0) += 1;
             },
         )?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            RunResult::from_parts(shots, nbits, parts)
+            RunResult::from_parts(params.shots, nbits, parts)
         }))
     }
 
@@ -965,46 +966,26 @@ impl FramePlan {
         sim: &Simulator,
         paulis: &[PauliString],
         ins: &InsertionSet,
-        params: crate::plan::ShotParams<'_>,
+        params: ShotParams<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        let crate::plan::ShotParams {
-            shots,
-            seed,
-            workers,
-            cancel,
-        } = params;
         let prepared = self.prepare_observables(paulis);
-        let sums = map_shots_indexed(
-            shots,
-            workers,
-            cancel,
+        let sums = self.map_shots(
+            sim,
+            ins,
+            params,
             || vec![0.0; prepared.len()],
-            |i, acc| {
-                let (fx, fz, _) = self.shot(sim, seed, i, ins);
+            |_, (fx, fz, _), acc| {
                 for (o, (r, px, pz)) in prepared.iter().enumerate() {
                     if *r == 0 {
                         continue;
                     }
-                    let mut parity = 0u64;
-                    for w in 0..fx.len() {
-                        parity ^= (fx[w] & pz[w]) ^ (fz[w] & px[w]);
-                    }
-                    let flip = parity.count_ones() % 2 == 1;
+                    let flip = anticommutes(&fx, &fz, px, pz);
                     acc[o] += if flip { -*r as f64 } else { *r as f64 };
                 }
             },
         )?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            let mut out = vec![0.0; paulis.len()];
-            for part in sums {
-                for (o, p) in out.iter_mut().zip(part.iter()) {
-                    *o += p;
-                }
-            }
-            for o in &mut out {
-                *o /= shots as f64;
-            }
-            out
+            mean_from_parts(params.shots, paulis.len(), sums)
         }))
     }
 
@@ -1015,31 +996,20 @@ impl FramePlan {
         sim: &Simulator,
         paulis: &[PauliString],
         ins: &InsertionSet,
-        params: crate::plan::ShotParams<'_>,
+        params: ShotParams<'_>,
     ) -> Result<PauliFlips, SimError> {
-        let crate::plan::ShotParams {
-            shots,
-            seed,
-            workers,
-            cancel,
-        } = params;
         let prepared = self.prepare_observables(paulis);
-        let words = shots.div_ceil(64);
+        let words = params.shots.div_ceil(64);
         // Per-worker bitvectors cover disjoint shot indices, so the
         // merge is a plain OR — order-independent and exact.
-        let parts = map_shots_indexed(
-            shots,
-            workers,
-            cancel,
+        let parts = self.map_shots(
+            sim,
+            ins,
+            params,
             || vec![vec![0u64; words]; prepared.len()],
-            |i, acc| {
-                let (fx, fz, _) = self.shot(sim, seed, i, ins);
+            |i, (fx, fz, _), acc| {
                 for (o, (_, px, pz)) in prepared.iter().enumerate() {
-                    let mut parity = 0u64;
-                    for w in 0..fx.len() {
-                        parity ^= (fx[w] & pz[w]) ^ (fz[w] & px[w]);
-                    }
-                    if parity.count_ones() % 2 == 1 {
+                    if anticommutes(&fx, &fz, px, pz) {
                         acc[o][i / 64] |= 1 << (i % 64);
                     }
                 }
@@ -1055,12 +1025,22 @@ impl FramePlan {
                 }
             }
             PauliFlips {
-                shots,
+                shots: params.shots,
                 refs: prepared.iter().map(|(r, _, _)| *r).collect(),
                 flips,
             }
         }))
     }
+}
+
+/// Whether the frame `(fx, fz)` anticommutes with the packed Pauli
+/// `(px, pz)`: the sign it flips on that observable.
+fn anticommutes(fx: &[u64], fz: &[u64], px: &[u64], pz: &[u64]) -> bool {
+    let mut parity = 0u64;
+    for w in 0..fx.len() {
+        parity ^= (fx[w] & pz[w]) ^ (fz[w] & px[w]);
+    }
+    parity.count_ones() % 2 == 1
 }
 
 #[inline]
@@ -1107,119 +1087,10 @@ fn inject(fx: &mut [u64], fz: &mut [u64], q: usize, p: Pauli) {
     }
 }
 
-/// The serial stabilizer/Pauli-frame engine: a [`crate::SimEngine`]
-/// over a borrowed simulator configuration, propagating one frame per
-/// shot. The reference implementation the bit-parallel
-/// [`crate::BatchedFrameEngine`] is validated against.
-pub struct StabilizerEngine<'a> {
-    /// The owning simulator (device + noise configuration).
-    pub sim: &'a Simulator,
-}
-
-impl<'a> StabilizerEngine<'a> {
-    /// Borrows the simulator.
-    pub fn new(sim: &'a Simulator) -> Self {
-        Self { sim }
-    }
-
-    /// Shot-sampled classical counts (see [`crate::SimEngine`]).
-    pub fn run_counts(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<RunResult, SimError> {
-        self.run_counts_with_insertions(sc, shots, seed, &InsertionSet::empty())
-    }
-
-    /// [`Self::run_counts`] with scheduled per-shot Pauli insertions
-    /// (see [`crate::insert`]): the PEC hook. An empty set reproduces
-    /// the plain run exactly.
-    pub fn run_counts_with_insertions(
-        &self,
-        sc: &ScheduledCircuit,
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-    ) -> Result<RunResult, SimError> {
-        let plan = FramePlan::build(self.sim, sc, seed)?;
-        plan.counts(
-            self.sim,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers: None,
-                cancel: None,
-            },
-        )
-    }
-
-    /// Frame-averaged Pauli expectations (see [`crate::SimEngine`]).
-    pub fn expect_paulis(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-    ) -> Result<Vec<f64>, SimError> {
-        self.expect_paulis_with_insertions(sc, paulis, shots, seed, &InsertionSet::empty())
-    }
-
-    /// [`Self::expect_paulis`] with scheduled per-shot Pauli
-    /// insertions.
-    pub fn expect_paulis_with_insertions(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-    ) -> Result<Vec<f64>, SimError> {
-        let plan = FramePlan::build(self.sim, sc, seed)?;
-        plan.expectations(
-            self.sim,
-            paulis,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers: None,
-                cancel: None,
-            },
-        )
-    }
-
-    /// Per-shot ±1 outcomes (see [`PauliFlips`]): the sign-resolved
-    /// form of [`Self::expect_paulis_with_insertions`], needed by
-    /// sign-weighted estimators like PEC. Bit-identical to the batch
-    /// engine's [`crate::BatchedFrameEngine::expect_flips`].
-    pub fn expect_flips(
-        &self,
-        sc: &ScheduledCircuit,
-        paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        ins: &InsertionSet,
-    ) -> Result<PauliFlips, SimError> {
-        let plan = FramePlan::build(self.sim, sc, seed)?;
-        plan.flips(
-            self.sim,
-            paulis,
-            ins,
-            crate::plan::ShotParams {
-                shots,
-                seed,
-                workers: None,
-                cancel: None,
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::noise::NoiseConfig;
     use ca_circuit::{schedule_asap, Circuit, GateDurations};
     use ca_device::{uniform_device, Topology};
@@ -1230,6 +1101,15 @@ mod tests {
 
     fn ideal(n: usize) -> Simulator {
         Simulator::with_config(uniform_device(Topology::line(n), 0.0), NoiseConfig::ideal())
+    }
+
+    /// `sim` pinned to the serial frame engine: its one-shot runs
+    /// compile and run a [`FramePlan`].
+    fn serial(sim: Simulator) -> Simulator {
+        Simulator {
+            engine: Engine::Stabilizer,
+            ..sim
+        }
     }
 
     #[test]
@@ -1278,7 +1158,7 @@ mod tests {
     #[test]
     fn conditional_pauli_feed_forward_is_exact() {
         let sim = ideal(2);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         // |1⟩ outcome fires the X: deterministic |11⟩.
         let mut fire = Circuit::new(2, 2);
         fire.x(0)
@@ -1303,7 +1183,7 @@ mod tests {
         // be 0 on every shot, for either aux outcome — only exact
         // per-shot feed-forward gets this right.
         let sim = ideal(3);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(3, 3);
         qc.h(0).cx(0, 1).cx(1, 2);
         qc.h(0).measure(0, 0);
@@ -1322,7 +1202,7 @@ mod tests {
         // The condition reads the bit's value at execution time, not
         // the first measurement's: overwrite the bit, then fire.
         let sim = ideal(3);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(3, 2);
         qc.x(0).measure(0, 0); // bit 0 = 1
                                // Barrier keeps the second measurement *after* the first in
@@ -1340,7 +1220,7 @@ mod tests {
     #[test]
     fn ideal_bell_counts_match_physics() {
         let sim = ideal(2);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(2, 2);
         qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
         let res = eng.run_counts(&sched(&qc), 2000, 7).unwrap();
@@ -1356,7 +1236,7 @@ mod tests {
         // H;M must be ~50/50 across shots even with zero noise — the
         // init-Z randomization supplies the entropy.
         let sim = ideal(1);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(1, 1);
         qc.h(0).measure(0, 0);
         let res = eng.run_counts(&sched(&qc), 4000, 3).unwrap();
@@ -1370,7 +1250,7 @@ mod tests {
     #[test]
     fn repeated_measurement_is_consistent_within_a_shot() {
         let sim = ideal(1);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(1, 2);
         qc.h(0).measure(0, 0).measure(0, 1);
         let res = eng.run_counts(&sched(&qc), 500, 5).unwrap();
@@ -1384,7 +1264,7 @@ mod tests {
     #[test]
     fn ideal_expectations_are_exact() {
         let sim = ideal(2);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(2, 0);
         qc.h(0).cx(0, 1);
         let sc = sched(&qc);
@@ -1410,7 +1290,7 @@ mod tests {
             ..NoiseConfig::ideal()
         };
         let sim = Simulator::with_config(dev, cfg);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(1, 1);
         qc.measure(0, 0);
         let res = eng.run_counts(&sched(&qc), 4000, 17).unwrap();
@@ -1429,7 +1309,7 @@ mod tests {
             ..NoiseConfig::ideal()
         };
         let sim = Simulator::with_config(dev, cfg);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let z = PauliString::parse("Z").unwrap();
 
         let mut bare = Circuit::new(1, 0);
@@ -1456,7 +1336,7 @@ mod tests {
         // flush (twirled into ZZ flips); staggering zeroes it.
         let dev = uniform_device(Topology::line(2), 80.0);
         let sim = Simulator::with_config(dev, NoiseConfig::coherent_only());
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let durations = GateDurations {
             one_qubit: 0.0,
             ..GateDurations::default()
@@ -1513,7 +1393,7 @@ mod tests {
             ..NoiseConfig::ideal()
         };
         let sim = Simulator::with_config(dev, cfg);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(1, 1);
         qc.x(0).delay(50_000.0, 0).measure(0, 0);
         let res = eng.run_counts(&sched(&qc), 4000, 13).unwrap();
@@ -1530,7 +1410,7 @@ mod tests {
         let n = 60;
         let dev = uniform_device(Topology::line(n), 60.0);
         let sim = Simulator::with_config(dev, NoiseConfig::default());
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(n, n);
         for q in 0..n {
             qc.h(q);
@@ -1552,7 +1432,7 @@ mod tests {
         // debug assertion would catch it in dev builds; release-built
         // callers and deserialized circuits reach the engine).
         let sim = ideal(3);
-        let eng = StabilizerEngine::new(&sim);
+        let eng = serial(sim);
         let mut qc = Circuit::new(3, 1);
         qc.push(ca_circuit::Instruction {
             gate: Gate::X,

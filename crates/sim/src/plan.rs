@@ -674,10 +674,10 @@ mod tests {
     }
 }
 
-/// Shot-loop parameters shared by the frame engines' expectation and
-/// flips entry points: shot count, run seed, worker spread, and an
-/// optional cooperative cancel token polled at chunk/strip
-/// boundaries.
+/// Shot-loop parameters shared by the frame engines' counts,
+/// expectation and flips entry points: shot count, run seed, worker
+/// spread, and an optional cooperative cancel token polled at
+/// chunk/strip boundaries.
 #[derive(Clone, Copy)]
 pub(crate) struct ShotParams<'a> {
     pub shots: usize,

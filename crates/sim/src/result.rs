@@ -14,6 +14,28 @@ pub struct RunResult {
     pub counts: BTreeMap<u64, usize>,
 }
 
+/// Per-observable means from per-chunk partial sums: the single
+/// aggregation point for every engine's expectations, the counterpart
+/// of [`RunResult::from_parts`]. Parts are summed in the order given
+/// (chunk or strip order), so the f64 result does not depend on the
+/// worker count.
+pub(crate) fn mean_from_parts(
+    shots: usize,
+    observables: usize,
+    parts: impl IntoIterator<Item = Vec<f64>>,
+) -> Vec<f64> {
+    let mut out = vec![0.0; observables];
+    for part in parts {
+        for (o, p) in out.iter_mut().zip(part.iter()) {
+            *o += p;
+        }
+    }
+    for o in &mut out {
+        *o /= shots as f64;
+    }
+    out
+}
+
 impl RunResult {
     /// Builds a result by merging partial count maps — the single
     /// aggregation point for every engine's shot fan-out (per-worker

@@ -37,18 +37,18 @@
 //!   dressed circuit from scratch.
 
 use crate::cancel::CancelToken;
-use crate::engine::{check_gate_arities, Engine, DENSE_MAX_QUBITS};
+use crate::engine::Engine;
 use crate::error::SimError;
 use crate::executor::Simulator;
 use crate::frame_batch::BatchPlan;
 use crate::insert::{InsertionSet, PauliInsertion};
 use crate::pauli_frame::FramePlan;
-use crate::plan::{map_batches, ExecutionPlan};
+use crate::plan::{map_batches, ExecutionPlan, ShotParams};
 use crate::result::{PauliFlips, RunResult};
 use ca_circuit::pauli::Pauli;
 use ca_circuit::{Fnv, Gate, PauliString, ScheduledCircuit};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Structural identity of a compiled artifact: circuit structure ⊕
 /// device fingerprint ⊕ noise switches ⊕ engine policy ⊕ seed. Equal
@@ -128,9 +128,37 @@ impl CompiledCircuit {
     /// Name of the engine the artifact resolved to.
     pub fn engine_name(&self) -> &'static str {
         match self.backend {
-            CompiledBackend::Dense => "statevector",
-            CompiledBackend::Serial(_) => "stabilizer",
-            CompiledBackend::Batch(_) => "frame-batch",
+            CompiledBackend::Dense => Engine::Statevector,
+            CompiledBackend::Serial(_) => Engine::Stabilizer,
+            CompiledBackend::Batch(_) => Engine::FrameBatch,
+        }
+        .name()
+    }
+
+    /// The shot-loop parameters of one run of this artifact.
+    fn params<'a>(
+        &self,
+        shots: usize,
+        workers: Option<usize>,
+        cancel: Option<&'a CancelToken>,
+    ) -> ShotParams<'a> {
+        ShotParams {
+            shots,
+            seed: self.seed,
+            workers,
+            cancel,
+        }
+    }
+
+    /// The dense engine's refusal of per-shot Pauli insertions.
+    fn dense_insertions(ins: &InsertionSet) -> Result<(), SimError> {
+        if ins.is_empty() {
+            Ok(())
+        } else {
+            Err(SimError::UnsupportedOnEngine {
+                engine: "statevector",
+                operation: "per-shot Pauli insertions",
+            })
         }
     }
 
@@ -160,37 +188,14 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunResult, SimError> {
+        let params = self.params(shots, workers, cancel);
         match &self.backend {
             CompiledBackend::Dense => {
-                if !ins.is_empty() {
-                    return Err(SimError::UnsupportedOnEngine {
-                        engine: "statevector",
-                        operation: "per-shot Pauli insertions",
-                    });
-                }
-                self.sim
-                    .run_counts_dense_plan(&self.plan, shots, self.seed, cancel)
+                Self::dense_insertions(ins)?;
+                self.sim.dense_counts(&self.plan, shots, self.seed, cancel)
             }
-            CompiledBackend::Serial(frame) => frame.counts(
-                &self.sim,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
-            CompiledBackend::Batch(batch) => batch.counts(
-                &self.sim,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
+            CompiledBackend::Serial(frame) => frame.counts(&self.sim, ins, params),
+            CompiledBackend::Batch(batch) => batch.counts(&self.sim, ins, params),
         }
     }
 
@@ -216,39 +221,15 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<f64>, SimError> {
+        let params = self.params(shots, workers, cancel);
         match &self.backend {
             CompiledBackend::Dense => {
-                if !ins.is_empty() {
-                    return Err(SimError::UnsupportedOnEngine {
-                        engine: "statevector",
-                        operation: "per-shot Pauli insertions",
-                    });
-                }
+                Self::dense_insertions(ins)?;
                 self.sim
-                    .expect_paulis_dense_plan(&self.plan, paulis, shots, self.seed, cancel)
+                    .dense_expectations(&self.plan, paulis, shots, self.seed, cancel)
             }
-            CompiledBackend::Serial(frame) => frame.expectations(
-                &self.sim,
-                paulis,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
-            CompiledBackend::Batch(batch) => batch.expectations(
-                &self.sim,
-                paulis,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
+            CompiledBackend::Serial(frame) => frame.expectations(&self.sim, paulis, ins, params),
+            CompiledBackend::Batch(batch) => batch.expectations(&self.sim, paulis, ins, params),
         }
     }
 
@@ -274,33 +255,14 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<PauliFlips, SimError> {
+        let params = self.params(shots, workers, cancel);
         match &self.backend {
             CompiledBackend::Dense => Err(SimError::UnsupportedOnEngine {
                 engine: "statevector",
                 operation: "per-shot sign-resolved outcomes",
             }),
-            CompiledBackend::Serial(frame) => frame.flips(
-                &self.sim,
-                paulis,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
-            CompiledBackend::Batch(batch) => batch.flips(
-                &self.sim,
-                paulis,
-                ins,
-                crate::plan::ShotParams {
-                    shots,
-                    seed: self.seed,
-                    workers,
-                    cancel,
-                },
-            ),
+            CompiledBackend::Serial(frame) => frame.flips(&self.sim, paulis, ins, params),
+            CompiledBackend::Batch(batch) => batch.flips(&self.sim, paulis, ins, params),
         }
     }
 
@@ -329,8 +291,10 @@ impl CompiledCircuit {
             });
         }
         let sc = Arc::new(apply_dressing(&self.sc, dressing)?);
+        let engine = self.sim.resolve_engine(&sc)?;
         let key = cache_key(sim_fingerprint(&self.sim), &sc, seed);
-        self.sim.compile_with(sc, self.plan.clone(), seed, key)
+        self.sim
+            .compile_with(engine, sc, self.plan.clone(), seed, key)
     }
 }
 
@@ -398,12 +362,7 @@ fn sim_fingerprint(sim: &Simulator) -> u64 {
     {
         h.u64(((i as u64) << 1) | b as u64);
     }
-    h.str(match sim.engine {
-        Engine::Auto => "auto",
-        Engine::Statevector => "statevector",
-        Engine::Stabilizer => "stabilizer",
-        Engine::FrameBatch => "frame-batch",
-    });
+    h.str(sim.engine.name());
     h.finish()
 }
 
@@ -418,11 +377,12 @@ fn cache_key(sim_fp: u64, sc: &ScheduledCircuit, seed: u64) -> CacheKey {
 
 impl Simulator {
     /// Compiles `sc` into an owned, reusable [`CompiledCircuit`]:
-    /// resolves the engine per the simulator's [`Engine`] policy,
-    /// builds the timeline plan, and precompiles the frame programs.
-    /// The uncached single-compile entry point — sessions add the LRU
-    /// cache on top.
+    /// resolves the engine per the simulator's [`Engine`] policy (see
+    /// [`crate::engine`]), builds the timeline plan, and
+    /// precompiles the engine's program. The uncached single-compile
+    /// entry point — sessions add the LRU cache on top.
     pub fn compile(&self, sc: &ScheduledCircuit, seed: u64) -> Result<CompiledCircuit, SimError> {
+        let engine = self.resolve_engine(sc)?;
         let key = cache_key(sim_fingerprint(self), sc, seed);
         let sc = Arc::new(sc.clone());
         let plan = Arc::new(ExecutionPlan::build_arc(
@@ -430,17 +390,58 @@ impl Simulator {
             &self.device,
             &self.config,
         )?);
-        self.compile_with(sc, plan, seed, key)
+        self.compile_with(engine, sc, plan, seed, key)
     }
 
-    /// Assembles a [`CompiledCircuit`] over a prebuilt timeline plan.
-    /// For frame backends, `plan.sc` may differ from `sc` at merged
-    /// single-qubit Pauli slots (the re-dressed-twirl contract: the
-    /// timeline is identical there); the dense backend replays exact
-    /// unitaries from `plan.sc`, so it requires `plan.sc == sc` and
-    /// gets a fresh plan from the caller otherwise.
+    /// Runs `shots` and gathers classical-bit counts: compiles `sc`
+    /// and runs the artifact once, with no insertions and the default
+    /// worker count. Unsupported circuits yield a [`SimError`], never
+    /// a panic.
+    pub fn run_counts(
+        &self,
+        sc: &ScheduledCircuit,
+        shots: usize,
+        seed: u64,
+    ) -> Result<RunResult, SimError> {
+        self.compile(sc, seed)?
+            .run_counts(shots, &InsertionSet::empty(), None)
+    }
+
+    /// Averages the quantum expectation values of the given Pauli
+    /// strings over `shots`: compiles `sc` and runs it once, like
+    /// [`Self::run_counts`].
+    pub fn expect_paulis(
+        &self,
+        sc: &ScheduledCircuit,
+        paulis: &[PauliString],
+        shots: usize,
+        seed: u64,
+    ) -> Result<Vec<f64>, SimError> {
+        self.compile(sc, seed)?
+            .expect_paulis(paulis, shots, &InsertionSet::empty(), None)
+    }
+
+    /// Convenience: a single Pauli expectation.
+    pub fn expect_pauli(
+        &self,
+        sc: &ScheduledCircuit,
+        pauli: &PauliString,
+        shots: usize,
+        seed: u64,
+    ) -> Result<f64, SimError> {
+        Ok(self.expect_paulis(sc, std::slice::from_ref(pauli), shots, seed)?[0])
+    }
+
+    /// Assembles a [`CompiledCircuit`] for an already resolved
+    /// `engine` over a prebuilt timeline plan. For frame backends,
+    /// `plan.sc` may differ from `sc` at merged single-qubit Pauli
+    /// slots (the re-dressed-twirl contract: the timeline is identical
+    /// there); the dense backend replays exact unitaries from
+    /// `plan.sc`, so it requires `plan.sc == sc` and gets a fresh plan
+    /// from the caller otherwise.
     fn compile_with(
         &self,
+        engine: Engine,
         sc: Arc<ScheduledCircuit>,
         plan: Arc<ExecutionPlan>,
         seed: u64,
@@ -448,26 +449,19 @@ impl Simulator {
     ) -> Result<CompiledCircuit, SimError> {
         let _s = ca_obs::span("sim.compile", "artifact");
         ca_obs::counter_add("sim.compiles", 1);
-        let engine = self.engine_for(&sc)?.name();
         let backend = match engine {
-            "statevector" => {
-                check_gate_arities(&sc)?;
-                if sc.num_qubits > DENSE_MAX_QUBITS {
-                    return Err(SimError::DenseCapExceeded {
-                        qubits: sc.num_qubits,
-                        max: DENSE_MAX_QUBITS,
-                    });
-                }
+            Engine::Statevector => {
                 debug_assert!(
                     *plan.sc == *sc,
                     "dense backends replay unitaries from the plan's circuit"
                 );
                 CompiledBackend::Dense
             }
-            "stabilizer" => {
+            Engine::Stabilizer => {
                 CompiledBackend::Serial(FramePlan::build_with_plan(sc.clone(), plan.clone(), seed)?)
             }
-            _ => CompiledBackend::Batch(BatchPlan::from_frame(
+            // `resolve_engine` never yields `Auto`.
+            Engine::FrameBatch | Engine::Auto => CompiledBackend::Batch(BatchPlan::from_frame(
                 self,
                 FramePlan::build_with_plan(sc.clone(), plan.clone(), seed)?,
             )),
@@ -542,18 +536,13 @@ impl JobOutput {
 }
 
 impl Job {
-    /// An expectation job.
-    pub fn expect(
-        circuit: impl Into<Arc<ScheduledCircuit>>,
-        observables: impl Into<Vec<PauliString>>,
-        shots: usize,
-        seed: u64,
-    ) -> Self {
+    /// A plain job: no dressing, insertions, cancel token or deadline.
+    fn new(circuit: Arc<ScheduledCircuit>, request: JobRequest, shots: usize, seed: u64) -> Self {
         Self {
-            circuit: circuit.into(),
+            circuit,
             dressing: None,
             insertions: Vec::new(),
-            request: JobRequest::Expect(observables.into()),
+            request,
             shots,
             seed,
             cancel: None,
@@ -561,18 +550,20 @@ impl Job {
         }
     }
 
+    /// An expectation job.
+    pub fn expect(
+        circuit: impl Into<Arc<ScheduledCircuit>>,
+        observables: impl Into<Vec<PauliString>>,
+        shots: usize,
+        seed: u64,
+    ) -> Self {
+        let request = JobRequest::Expect(observables.into());
+        Self::new(circuit.into(), request, shots, seed)
+    }
+
     /// A counts job.
     pub fn counts(circuit: impl Into<Arc<ScheduledCircuit>>, shots: usize, seed: u64) -> Self {
-        Self {
-            circuit: circuit.into(),
-            dressing: None,
-            insertions: Vec::new(),
-            request: JobRequest::Counts,
-            shots,
-            seed,
-            cancel: None,
-            deadline: None,
-        }
+        Self::new(circuit.into(), JobRequest::Counts, shots, seed)
     }
 
     /// A per-shot ±1 outcomes job.
@@ -582,16 +573,8 @@ impl Job {
         shots: usize,
         seed: u64,
     ) -> Self {
-        Self {
-            circuit: circuit.into(),
-            dressing: None,
-            insertions: Vec::new(),
-            request: JobRequest::Flips(observables.into()),
-            shots,
-            seed,
-            cancel: None,
-            deadline: None,
-        }
+        let request = JobRequest::Flips(observables.into());
+        Self::new(circuit.into(), request, shots, seed)
     }
 
     /// Attaches a twirl dressing (shared-schedule ensemble instance).
@@ -717,17 +700,25 @@ impl<T> Lru<T> {
         self.stamp += 1;
         self.entries.insert(key, (value, self.stamp));
         while self.entries.len() > self.capacity {
-            let oldest = self
+            let Some(oldest) = self
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, used))| *used)
                 .map(|(k, _)| *k)
-                .expect("non-empty cache"); // ca-lint: allow(panic) -- eviction only runs when the cache is non-empty
+            else {
+                break;
+            };
             self.entries.remove(&oldest);
             self.evictions += 1;
             ca_obs::counter_add(self.obs.eviction, 1);
         }
     }
+}
+
+/// Locks one cache level. A poisoned lock is fail-stop: cached plans
+/// are unreliable after a panic.
+fn lock<T>(cache: &Mutex<Lru<T>>) -> MutexGuard<'_, Lru<T>> {
+    cache.lock().expect("session cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
 }
 
 /// Cache traffic counters (see [`Session::cache_stats`]).
@@ -842,7 +833,7 @@ impl Session {
     /// level): hits, misses, evictions, and verification rejections
     /// of colliding keys.
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.cache.lock().expect("plan cache"); // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
+        let cache = lock(&self.cache);
         CacheStats {
             hits: cache.hits,
             misses: cache.misses,
@@ -859,12 +850,7 @@ impl Session {
         h.u64(self.sim_fp);
         h.u64(sc.structural_hash());
         let key = h.finish();
-        if let Some(hit) = self
-            .exec
-            .lock()
-            .expect("exec cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .get(key, |p| *p.sc == *sc)
-        {
+        if let Some(hit) = lock(&self.exec).get(key, |p| *p.sc == *sc) {
             return Ok(hit);
         }
         let plan = Arc::new(ExecutionPlan::build_arc(
@@ -872,10 +858,7 @@ impl Session {
             &self.sim.device,
             &self.sim.config,
         )?);
-        self.exec
-            .lock()
-            .expect("exec cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key, plan.clone());
+        lock(&self.exec).insert(key, plan.clone());
         Ok(plan)
     }
 
@@ -890,20 +873,17 @@ impl Session {
         seed: u64,
     ) -> Result<Arc<CompiledCircuit>, SimError> {
         let key = cache_key(self.sim_fp, sc, seed);
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .get(key.0, |c| c.seed() == seed && *c.circuit() == *sc)
+        if let Some(hit) = lock(&self.cache).get(key.0, |c| c.seed() == seed && *c.circuit() == *sc)
         {
             return Ok(hit);
         }
+        let engine = self.sim.resolve_engine(sc)?;
         let plan = self.exec_plan(sc)?;
-        let compiled = Arc::new(self.sim.compile_with(plan.sc.clone(), plan, seed, key)?);
-        self.cache
-            .lock()
-            .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key.0, compiled.clone());
+        let compiled = Arc::new(
+            self.sim
+                .compile_with(engine, plan.sc.clone(), plan, seed, key)?,
+        );
+        lock(&self.cache).insert(key.0, compiled.clone());
         Ok(compiled)
     }
 
@@ -921,30 +901,22 @@ impl Session {
     ) -> Result<Arc<CompiledCircuit>, SimError> {
         let dressed = apply_dressing(base, dressing)?;
         let key = cache_key(self.sim_fp, &dressed, seed);
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .get(key.0, |c| c.seed() == seed && *c.circuit() == dressed)
+        if let Some(hit) =
+            lock(&self.cache).get(key.0, |c| c.seed() == seed && *c.circuit() == dressed)
         {
             return Ok(hit);
         }
-        // Resolve through the simulator's own dispatch so this branch
-        // can never disagree with the engine `compile_with` picks.
-        let frame_capable = self.sim.engine_name_for(&dressed)? != "statevector";
-        let compiled = if frame_capable {
-            let plan = self.exec_plan(base)?;
-            Arc::new(self.sim.compile_with(Arc::new(dressed), plan, seed, key)?)
-        } else {
+        let engine = self.sim.resolve_engine(&dressed)?;
+        let (sc, plan) = if engine == Engine::Statevector {
             // Dense resolution: the plan must be built from the
             // dressed circuit itself (cached seed-independently).
             let plan = self.exec_plan(&dressed)?;
-            Arc::new(self.sim.compile_with(plan.sc.clone(), plan, seed, key)?)
+            (plan.sc.clone(), plan)
+        } else {
+            (Arc::new(dressed), self.exec_plan(base)?)
         };
-        self.cache
-            .lock()
-            .expect("plan cache") // ca-lint: allow(panic) -- fail-stop on poisoned cache; cached plans are unreliable after a panic
-            .insert(key.0, compiled.clone());
+        let compiled = Arc::new(self.sim.compile_with(engine, sc, plan, seed, key)?);
+        lock(&self.cache).insert(key.0, compiled.clone());
         Ok(compiled)
     }
 

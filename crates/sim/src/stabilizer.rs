@@ -365,7 +365,7 @@ impl Tableau {
     ///   letter* — conjugation preserves Hermiticity), so `k` only
     ///   ever moves by 2;
     /// * measurement updates multiply a stabilizer row only by
-    ///   another *commuting* row ([`Self::row_mul`] inside
+    ///   another *commuting* row (`row_mul` inside
     ///   [`Self::measure`] pairs rows that both anticommute with
     ///   `Z_q`), and the product of two commuting Hermitian Paulis is
     ///   Hermitian: the `i^k` letter-product phases cancel mod 2.

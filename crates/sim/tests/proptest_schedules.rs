@@ -15,7 +15,7 @@
 use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
 use ca_device::{uniform_device, Device, Topology};
 use ca_sim::plan::{lt_lane, lt_mask, lt_masks, shot_site_seed};
-use ca_sim::{BatchedFrameEngine, NoiseConfig, Simulator, StabilizerEngine};
+use ca_sim::{Engine, InsertionSet, NoiseConfig, RunResult, Simulator};
 use proptest::prelude::*;
 
 /// A noisy line device with every stochastic channel switched on.
@@ -51,6 +51,24 @@ fn layer_circuit(n: usize) -> ScheduledCircuit {
     schedule_asap(&qc, GateDurations::default())
 }
 
+/// Counts of `sc` compiled on one frame engine at `seed`:
+/// `Engine::Stabilizer` is the serial reference, `Engine::FrameBatch`
+/// the batch engine run at the given worker count.
+fn counts(
+    sim: &Simulator,
+    engine: Engine,
+    sc: &ScheduledCircuit,
+    shots: usize,
+    seed: u64,
+    workers: Option<usize>,
+) -> RunResult {
+    Simulator::with_engine(sim.device.clone(), sim.config, engine)
+        .compile(sc, seed)
+        .unwrap()
+        .run_counts(shots, &InsertionSet::empty(), workers)
+        .unwrap()
+}
+
 fn sim_with(n: usize) -> Simulator {
     Simulator::with_config(noisy_device(n), NoiseConfig::default())
 }
@@ -71,15 +89,14 @@ proptest! {
     ) {
         let sim = sim_with(6);
         let sc = layer_circuit(6);
-        let serial = StabilizerEngine::new(&sim).run_counts(&sc, shots, seed).unwrap();
-        let batch = BatchedFrameEngine::new(&sim);
-        let one = batch.run_counts_with_workers(&sc, shots, seed, Some(1)).unwrap();
+        let serial = counts(&sim, Engine::Stabilizer, &sc, shots, seed, None);
+        let one = counts(&sim, Engine::FrameBatch, &sc, shots, seed, Some(1));
         prop_assert_eq!(
             &serial, &one,
             "serial vs batch diverge: shots {} seed {}", shots, seed
         );
         for workers in [2usize, 8] {
-            let got = batch.run_counts_with_workers(&sc, shots, seed, Some(workers)).unwrap();
+            let got = counts(&sim, Engine::FrameBatch, &sc, shots, seed, Some(workers));
             prop_assert_eq!(
                 &one, &got,
                 "worker-count dependence: shots {} workers {}", shots, workers

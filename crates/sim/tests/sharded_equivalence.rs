@@ -13,7 +13,7 @@
 
 use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
 use ca_device::{presets, Device};
-use ca_sim::{BatchedFrameEngine, NoiseConfig, Simulator, StabilizerEngine};
+use ca_sim::{Engine, InsertionSet, NoiseConfig, RunResult, Simulator};
 use proptest::prelude::*;
 
 /// A sparse layer-fidelity-style workload on a wide heavy-hex device:
@@ -48,6 +48,24 @@ fn sparse_workload(device: &Device, measured: usize) -> ScheduledCircuit {
     schedule_asap(&qc, GateDurations::default())
 }
 
+/// Counts of `sc` compiled on one frame engine at `seed`:
+/// `Engine::Stabilizer` is the serial reference, `Engine::FrameBatch`
+/// the batch engine run at the given worker count.
+fn counts(
+    sim: &Simulator,
+    engine: Engine,
+    sc: &ScheduledCircuit,
+    shots: usize,
+    seed: u64,
+    workers: Option<usize>,
+) -> RunResult {
+    Simulator::with_engine(sim.device.clone(), sim.config, engine)
+        .compile(sc, seed)
+        .unwrap()
+        .run_counts(shots, &InsertionSet::empty(), workers)
+        .unwrap()
+}
+
 fn sim_433() -> Simulator {
     let noise = NoiseConfig {
         readout_error: false,
@@ -74,15 +92,14 @@ proptest! {
     ) {
         let sim = sim_433();
         let sc = sparse_workload(&sim.device, 6);
-        let serial = StabilizerEngine::new(&sim).run_counts(&sc, shots, seed).unwrap();
-        let batch = BatchedFrameEngine::new(&sim);
-        let one = batch.run_counts_with_workers(&sc, shots, seed, Some(1)).unwrap();
+        let serial = counts(&sim, Engine::Stabilizer, &sc, shots, seed, None);
+        let one = counts(&sim, Engine::FrameBatch, &sc, shots, seed, Some(1));
         prop_assert_eq!(
             &serial, &one,
             "serial vs batch diverge at 433q: shots {} seed {}", shots, seed
         );
         for workers in [2usize, 8] {
-            let got = batch.run_counts_with_workers(&sc, shots, seed, Some(workers)).unwrap();
+            let got = counts(&sim, Engine::FrameBatch, &sc, shots, seed, Some(workers));
             prop_assert_eq!(
                 &one, &got,
                 "worker/shard-count dependence at 433q: shots {} workers {}",
@@ -106,9 +123,8 @@ fn narrow_circuit_on_wide_devices_runs_and_stays_invariant() {
         qc.measure(0, 0).measure(1, 1);
         let sc = schedule_asap(&qc, GateDurations::default());
         let sim = Simulator::with_config(device, NoiseConfig::default());
-        let batch = BatchedFrameEngine::new(&sim);
-        let one = batch.run_counts_with_workers(&sc, 130, 9, Some(1)).unwrap();
-        let eight = batch.run_counts_with_workers(&sc, 130, 9, Some(8)).unwrap();
+        let one = counts(&sim, Engine::FrameBatch, &sc, 130, 9, Some(1));
+        let eight = counts(&sim, Engine::FrameBatch, &sc, 130, 9, Some(8));
         assert_eq!(one, eight, "worker dependence on {n}-qubit device");
         assert_eq!(one.shots, 130);
     }

@@ -23,7 +23,7 @@ use context_aware_compiling::prelude::*;
 use proptest::prelude::*;
 // Explicit import so `Strategy` means proptest's trait (the compile
 // Strategy enum is referenced by path below).
-use ca_sim::{BatchedFrameEngine, InsertionSet, PauliInsertion};
+use ca_sim::{CompiledCircuit, InsertionSet, PauliInsertion};
 use proptest::Strategy;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -103,6 +103,15 @@ fn noisy_frame_sim(n: usize) -> Simulator {
     Simulator::with_config(dev, NoiseConfig::default())
 }
 
+/// `sc` compiled on one frame engine: `Engine::Stabilizer` is the
+/// serial reference, `Engine::FrameBatch` the batch engine held to
+/// bit-identity with it.
+fn frame(sim: &Simulator, engine: Engine, sc: &ScheduledCircuit, seed: u64) -> CompiledCircuit {
+    Simulator::with_engine(sim.device.clone(), sim.config, engine)
+        .compile(sc, seed)
+        .unwrap()
+}
+
 /// Expected TVD between two empirical distributions of `shots`
 /// samples each is bounded by ~√(K/shots); this threshold gives wide
 /// margin while still catching real disagreements.
@@ -179,12 +188,8 @@ proptest! {
         let sim = noisy_frame_sim(qc.num_qubits);
         let sc = schedule_asap(&qc, GateDurations::default());
         let ins = random_insertions(&sc, shots, 1 + shots / 2, seed ^ 0xABCD);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial.run_counts_with_insertions(&sc, shots, seed, &ins).unwrap();
-        let b = batch
-            .run_counts_with_insertions(&sc, shots, seed, &ins, None)
-            .unwrap();
+        let a = frame(&sim, Engine::Stabilizer, &sc, seed).run_counts(shots, &ins, None).unwrap();
+        let b = frame(&sim, Engine::FrameBatch, &sc, seed).run_counts(shots, &ins, None).unwrap();
         prop_assert_eq!(a, b, "shots {} seed {} for {:?}", shots, seed, qc);
     }
 
@@ -199,10 +204,9 @@ proptest! {
     ) {
         let sim = noisy_frame_sim(qc.num_qubits);
         let sc = schedule_asap(&qc, GateDurations::default());
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial.run_counts(&sc, shots, seed).unwrap();
-        let b = batch.run_counts(&sc, shots, seed).unwrap();
+        let none = InsertionSet::empty();
+        let a = frame(&sim, Engine::Stabilizer, &sc, seed).run_counts(shots, &none, None).unwrap();
+        let b = frame(&sim, Engine::FrameBatch, &sc, seed).run_counts(shots, &none, None).unwrap();
         prop_assert_eq!(a, b, "shots {} seed {} for {:?}", shots, seed, qc);
     }
 }
@@ -225,11 +229,14 @@ fn batch_and_serial_counts_are_bit_identical_with_full_noise() {
         qc.measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
+    let none = InsertionSet::empty();
     for seed in [1u64, 42, 977] {
-        let a = serial.run_counts(&sc, 1000, seed).unwrap();
-        let b = batch.run_counts(&sc, 1000, seed).unwrap();
+        let a = frame(&sim, Engine::Stabilizer, &sc, seed)
+            .run_counts(1000, &none, None)
+            .unwrap();
+        let b = frame(&sim, Engine::FrameBatch, &sc, seed)
+            .run_counts(1000, &none, None)
+            .unwrap();
         assert_eq!(a, b, "seed {seed}");
         assert_eq!(a.shots, 1000);
     }
@@ -249,12 +256,11 @@ fn batch_counts_and_expectations_identical_across_worker_counts() {
         qc.measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let batch = BatchedFrameEngine::new(&sim);
-    let counts1 = batch.run_counts_with_workers(&sc, 777, 5, Some(1)).unwrap();
+    let none = InsertionSet::empty();
+    let batch = frame(&sim, Engine::FrameBatch, &sc, 5);
+    let counts1 = batch.run_counts(777, &none, Some(1)).unwrap();
     for workers in [2usize, 8] {
-        let got = batch
-            .run_counts_with_workers(&sc, 777, 5, Some(workers))
-            .unwrap();
+        let got = batch.run_counts(777, &none, Some(workers)).unwrap();
         assert_eq!(counts1, got, "counts differ at {workers} workers");
     }
 
@@ -266,12 +272,11 @@ fn batch_counts_and_expectations_identical_across_worker_counts() {
         PauliString::parse("IIXXI").unwrap(),
         PauliString::parse("IIIIZ").unwrap(),
     ];
-    let e1 = batch
-        .expect_paulis_with_workers(&sco, &obs, 777, 5, Some(1))
-        .unwrap();
+    let batch = frame(&sim, Engine::FrameBatch, &sco, 5);
+    let e1 = batch.expect_paulis(&obs, 777, &none, Some(1)).unwrap();
     for workers in [2usize, 8] {
         let got = batch
-            .expect_paulis_with_workers(&sco, &obs, 777, 5, Some(workers))
+            .expect_paulis(&obs, 777, &none, Some(workers))
             .unwrap();
         assert_eq!(e1, got, "expectations differ at {workers} workers");
     }
@@ -296,24 +301,22 @@ fn pec_sampled_counts_identical_across_engines_and_worker_counts() {
         qc.measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
     for (shots, seed) in [(333usize, 3u64), (1001, 41)] {
         let ins = random_insertions(&sc, shots, 2 * shots, seed);
-        let reference = serial
-            .run_counts_with_insertions(&sc, shots, seed, &ins)
-            .unwrap();
+        let serial = frame(&sim, Engine::Stabilizer, &sc, seed);
+        let batch = frame(&sim, Engine::FrameBatch, &sc, seed);
+        let reference = serial.run_counts(shots, &ins, None).unwrap();
         for workers in [1usize, 2, 8] {
-            let got = batch
-                .run_counts_with_insertions(&sc, shots, seed, &ins, Some(workers))
-                .unwrap();
+            let got = batch.run_counts(shots, &ins, Some(workers)).unwrap();
             assert_eq!(
                 reference, got,
                 "shots {shots} seed {seed} workers {workers}"
             );
         }
         // And the insertions really change the sampled distribution.
-        let plain = serial.run_counts(&sc, shots, seed).unwrap();
+        let plain = serial
+            .run_counts(shots, &InsertionSet::empty(), None)
+            .unwrap();
         assert_ne!(reference, plain, "insertions must act");
     }
 }
@@ -337,19 +340,18 @@ fn pec_per_shot_flips_identical_across_engines_and_worker_counts() {
     let shots = 200;
     let seed = 17;
     let ins = random_insertions(&sc, shots, shots, seed);
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
-    let reference = serial.expect_flips(&sc, &obs, shots, seed, &ins).unwrap();
+    let batch = frame(&sim, Engine::FrameBatch, &sc, seed);
+    let reference = frame(&sim, Engine::Stabilizer, &sc, seed)
+        .expect_flips(&obs, shots, &ins, None)
+        .unwrap();
     for workers in [1usize, 2, 8] {
         let got = batch
-            .expect_flips(&sc, &obs, shots, seed, &ins, Some(workers))
+            .expect_flips(&obs, shots, &ins, Some(workers))
             .unwrap();
         assert_eq!(reference, got, "{workers} workers");
     }
     // The per-shot means agree with the aggregate expectation API.
-    let means = batch
-        .expect_paulis_with_insertions(&sc, &obs, shots, seed, &ins, None)
-        .unwrap();
+    let means = batch.expect_paulis(&obs, shots, &ins, None).unwrap();
     for (o, m) in means.iter().enumerate() {
         assert_eq!(reference.mean(o), *m, "observable {o}");
     }
@@ -603,10 +605,9 @@ proptest! {
     ) {
         let sim = noisy_frame_sim(qc.num_qubits);
         let sc = schedule_asap(&qc, GateDurations::default());
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
-        let a = serial.run_counts(&sc, shots, seed).unwrap();
-        let b = batch.run_counts(&sc, shots, seed).unwrap();
+        let none = InsertionSet::empty();
+        let a = frame(&sim, Engine::Stabilizer, &sc, seed).run_counts(shots, &none, None).unwrap();
+        let b = frame(&sim, Engine::FrameBatch, &sc, seed).run_counts(shots, &none, None).unwrap();
         prop_assert_eq!(a, b, "shots {} seed {} for {:?}", shots, seed, qc);
     }
 }
@@ -630,18 +631,18 @@ fn dynamic_counts_identical_across_worker_counts() {
         qc.measure(q, q);
     }
     let sc = schedule_asap(&qc, GateDurations::default());
-    let serial = StabilizerEngine::new(&sim);
-    let batch = BatchedFrameEngine::new(&sim);
-    let reference = batch.run_counts_with_workers(&sc, 901, 5, Some(1)).unwrap();
+    let none = InsertionSet::empty();
+    let batch = frame(&sim, Engine::FrameBatch, &sc, 5);
+    let reference = batch.run_counts(901, &none, Some(1)).unwrap();
     for workers in [2usize, 8] {
-        let got = batch
-            .run_counts_with_workers(&sc, 901, 5, Some(workers))
-            .unwrap();
+        let got = batch.run_counts(901, &none, Some(workers)).unwrap();
         assert_eq!(reference, got, "counts differ at {workers} workers");
     }
     assert_eq!(
         reference,
-        serial.run_counts(&sc, 901, 5).unwrap(),
+        frame(&sim, Engine::Stabilizer, &sc, 5)
+            .run_counts(901, &none, None)
+            .unwrap(),
         "serial engine must agree bit-for-bit"
     );
 }
@@ -712,17 +713,15 @@ fn session_cached_runs_are_bit_identical_to_cold_compiles() {
 
     let sim_batch = Simulator::with_engine(sim.device.clone(), sim.config, Engine::FrameBatch);
     let session = Session::new(sim_batch.clone());
-    let batch = BatchedFrameEngine::new(&sim_batch);
+    let batch = frame(&sim, Engine::FrameBatch, &sc, seed);
     let none = InsertionSet::empty();
 
-    let direct_counts = batch.run_counts(&sc, shots, seed).unwrap();
+    let direct_counts = batch.run_counts(shots, &none, None).unwrap();
     let obs = [
         PauliString::parse("ZZIII").unwrap(),
         PauliString::parse("IIZZI").unwrap(),
     ];
-    let direct_flips = batch
-        .expect_flips(&sc, &obs, shots, seed, &none, None)
-        .unwrap();
+    let direct_flips = batch.expect_flips(&obs, shots, &none, None).unwrap();
 
     for round in 0..2 {
         // Round 0 compiles (cold); round 1 must hit the cache when it
@@ -795,15 +794,15 @@ proptest! {
     ) {
         let sim = noisy_frame_sim(qc.num_qubits);
         let sc = schedule_asap(&qc, GateDurations::default());
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
+        let none = InsertionSet::empty();
+        let run = |engine| frame(&sim, engine, &sc, seed).run_counts(shots, &none, None).unwrap();
         let off = with_obs_level(ca_obs::Level::Off, || (
-            serial.run_counts(&sc, shots, seed).unwrap(),
-            batch.run_counts(&sc, shots, seed).unwrap(),
+            run(Engine::Stabilizer),
+            run(Engine::FrameBatch),
         ));
         let on = with_obs_level(ca_obs::Level::Summary, || (
-            serial.run_counts(&sc, shots, seed).unwrap(),
-            batch.run_counts(&sc, shots, seed).unwrap(),
+            run(Engine::Stabilizer),
+            run(Engine::FrameBatch),
         ));
         prop_assert_eq!(&off.0, &off.1, "serial vs batch (obs off)");
         prop_assert_eq!(off, on, "obs must be invisible: shots {} seed {}", shots, seed);
@@ -824,14 +823,14 @@ proptest! {
             PauliString::parse("IXXII").unwrap(),
         ];
         let ins = random_insertions(&sc, shots, 1 + shots / 2, seed ^ 0x5A5A);
-        let serial = StabilizerEngine::new(&sim);
-        let batch = BatchedFrameEngine::new(&sim);
         let off = with_obs_level(ca_obs::Level::Off, || {
-            serial.expect_flips(&sc, &obs, shots, seed, &ins).unwrap()
+            frame(&sim, Engine::Stabilizer, &sc, seed).expect_flips(&obs, shots, &ins, None).unwrap()
         });
         for workers in [1usize, 2, 8] {
             let on = with_obs_level(ca_obs::Level::Summary, || {
-                batch.expect_flips(&sc, &obs, shots, seed, &ins, Some(workers)).unwrap()
+                frame(&sim, Engine::FrameBatch, &sc, seed)
+                    .expect_flips(&obs, shots, &ins, Some(workers))
+                    .unwrap()
             });
             prop_assert_eq!(
                 &off, &on,
