@@ -18,7 +18,7 @@ pub struct Config {
     /// ca-sim modules sanctioned to draw RNG. Frame-engine noise is a
     /// counter-based hash (`plan::shot_key`/`plan::site_draw`), which
     /// keeps serial and batch bit-identical; sequential `rand` streams
-    /// remain only for the dense engine's `plan::map_shots` chunk
+    /// remain only for the dense engine's per-chunk `plan::chunk_seed`
     /// streams, the reference tableau run, and the tableau and
     /// statevector measurement helpers they feed.
     pub sim_rng_modules: Vec<&'static str>,
@@ -40,7 +40,6 @@ impl Default for Config {
             env_module: "crates/obs/src/env.rs",
             sim_rng_modules: vec![
                 "crates/sim/src/noise.rs",
-                "crates/sim/src/plan.rs",
                 "crates/sim/src/pauli_frame.rs",
                 "crates/sim/src/stabilizer.rs",
                 "crates/sim/src/statevector.rs",

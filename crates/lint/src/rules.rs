@@ -17,7 +17,7 @@
 //! |                   | never perturb or read randomness)                      |
 //! | `rng-containment` | `rand` in `ca-sim` only in sanctioned modules: frame   |
 //! |                   | draws via `plan::shot_key`/`site_draw`, dense draws    |
-//! |                   | via the `map_shots` chunk streams                      |
+//! |                   | via the per-chunk `chunk_seed` streams                 |
 //! | `forbid-unsafe`   | every non-shim crate root carries                      |
 //! |                   | `#![forbid(unsafe_code)]`                              |
 
@@ -462,7 +462,7 @@ fn rng_containment_rule(
             "rng-containment",
             "`rand` referenced outside ca-sim's sanctioned RNG modules — frame-engine \
              draws must be counter-based hashes from `plan::shot_key`/`plan::site_draw`, \
-             dense-engine draws must come from the `plan::map_shots` chunk streams; \
+             dense-engine draws must come from the per-chunk `plan::chunk_seed` streams; \
              route randomness through an existing sanctioned module or waive with \
              `// ca-lint: allow(rng-containment) -- <reason>`"
                 .to_string(),

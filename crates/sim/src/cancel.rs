@@ -2,12 +2,11 @@
 //!
 //! A [`CancelToken`] is a cheaply cloneable handle shared between a
 //! submitter (a server connection, a test, a batch coordinator) and
-//! the executor running the job. The executor never preempts: it
-//! polls [`CancelToken::check`] at coarse work boundaries — dense
-//! shot chunks ([`crate::plan::map_shots`]), per-shot stabilizer
-//! chunks ([`crate::plan::map_shots_indexed`]), and frame-batch
-//! strips ([`crate::frame_batch`]) — so a cancelled or expired job
-//! stops within one chunk's worth of work and frees its worker
+//! the executor running the job. The executor never preempts: every
+//! engine's shot fan-out ([`crate::plan::map_chunks`]) polls
+//! [`CancelToken::check`] before each shot block — dense and serial
+//! frame chunks, frame-batch strips — so a cancelled or expired job
+//! stops within one block's worth of work and frees its worker
 //! thread without leaving partial state anywhere.
 //!
 //! Deadlines are absolute instants on the `ca-obs` monotonic clock

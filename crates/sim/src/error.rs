@@ -111,6 +111,10 @@ pub enum SimError {
         /// The unavailable operation.
         operation: &'static str,
     },
+    /// A run asked for zero shots: counts, expectations and flips
+    /// are all averages over shots, so there is nothing to return
+    /// (an expectation would be `0/0 = NaN`).
+    ZeroShots,
     /// The job's [`CancelToken`](crate::cancel::CancelToken) was
     /// cancelled while the job was queued or running. Execution
     /// stopped cooperatively at the next shot-chunk / batch-strip
@@ -192,6 +196,11 @@ impl fmt::Display for SimError {
             SimError::UnsupportedOnEngine { engine, operation } => write!(
                 f,
                 "operation `{operation}` is not available on the `{engine}` engine"
+            ),
+            SimError::ZeroShots => write!(
+                f,
+                "a run needs at least one shot; zero shots have no counts or \
+                 expectation values"
             ),
             SimError::Cancelled => write!(
                 f,

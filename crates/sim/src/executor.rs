@@ -25,7 +25,7 @@ use crate::engine::Engine;
 use crate::error::SimError;
 use crate::noise::{damping_prob, dephasing_prob, t_phi_us, NoiseConfig, ShotNoise};
 use crate::obs_util::{time_engine_phase, PhaseTimer};
-use crate::plan::{map_shots, ExecutionPlan, PlanOp};
+use crate::plan::{chunk_seed, map_chunks, ExecutionPlan, PlanOp, ShotParams, CHUNK_SHOTS};
 use crate::result::{mean_from_parts, RunResult};
 use crate::statevector::{Decay, DiagTable, FlushGate, PauliMask, State};
 use ca_circuit::c64::{C64, ONE};
@@ -366,32 +366,56 @@ impl Simulator {
         (st, bits)
     }
 
-    /// Runs `shots` dense trajectories over a prebuilt plan and
-    /// gathers classical-bit counts: the statevector backend of
+    /// Runs every trajectory of a job in [`CHUNK_SHOTS`]-shot chunks
+    /// ([`map_chunks`]), each chunk drawing from its own
+    /// [`chunk_seed`] stream into a fresh accumulator. Chunk outputs
+    /// come back in chunk order, so every merge is bit-identical
+    /// across worker counts.
+    fn map_trajectories<Acc: Send>(
+        &self,
+        plan: &ExecutionPlan,
+        params: ShotParams<'_>,
+        new_acc: impl Fn() -> Acc + Sync,
+        per_shot: impl Fn((State, Vec<bool>), &mut Acc) + Sync,
+    ) -> Result<Vec<Acc>, SimError> {
+        debug_assert!(plan.sc.num_qubits <= crate::engine::DENSE_MAX_QUBITS);
+        let ops = self.dense_ops(plan)?;
+        let ShotParams {
+            shots,
+            seed,
+            workers,
+            cancel,
+        } = params;
+        map_chunks(shots, CHUNK_SHOTS, workers, cancel, |start, len| {
+            let mut rng = StdRng::seed_from_u64(chunk_seed(seed, start));
+            let mut acc = new_acc();
+            for _ in 0..len {
+                per_shot(self.trajectory(plan, &ops, &mut rng), &mut acc);
+            }
+            acc
+        })
+    }
+
+    /// Runs dense trajectories over a prebuilt plan and gathers
+    /// classical-bit counts: the statevector backend of
     /// [`crate::CompiledCircuit`], which has already checked arity and
     /// the qubit cap. `cancel` is polled at shot-chunk boundaries.
     pub(crate) fn dense_counts(
         &self,
         plan: &ExecutionPlan,
-        shots: usize,
-        seed: u64,
-        cancel: Option<&crate::cancel::CancelToken>,
+        params: ShotParams<'_>,
     ) -> Result<RunResult, SimError> {
-        debug_assert!(plan.sc.num_qubits <= crate::engine::DENSE_MAX_QUBITS);
         let nbits = plan.sc.num_clbits;
-        let ops = self.dense_ops(plan)?;
-        let parts = map_shots(
-            shots,
-            seed,
-            cancel,
+        let parts = self.map_trajectories(
+            plan,
+            params,
             std::collections::BTreeMap::<u64, usize>::new,
-            |rng, counts| {
-                let (_, bits) = self.trajectory(plan, &ops, rng);
+            |(_, bits), counts| {
                 *counts.entry(pack_bits(&bits, nbits)).or_insert(0) += 1;
             },
         )?;
         Ok(time_engine_phase("reduction", || {
-            RunResult::from_parts(shots, nbits, parts)
+            RunResult::from_parts(params.shots, nbits, parts)
         }))
     }
 
@@ -402,27 +426,21 @@ impl Simulator {
         &self,
         plan: &ExecutionPlan,
         paulis: &[PauliString],
-        shots: usize,
-        seed: u64,
-        cancel: Option<&crate::cancel::CancelToken>,
+        params: ShotParams<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        debug_assert!(plan.sc.num_qubits <= crate::engine::DENSE_MAX_QUBITS);
-        let ops = self.dense_ops(plan)?;
         let masks: Vec<PauliMask> = paulis.iter().map(PauliMask::new).collect();
-        let parts = map_shots(
-            shots,
-            seed,
-            cancel,
+        let parts = self.map_trajectories(
+            plan,
+            params,
             || vec![0.0; paulis.len()],
-            |rng, acc| {
-                let (st, _) = self.trajectory(plan, &ops, rng);
+            |(st, _), acc| {
                 for (a, m) in acc.iter_mut().zip(&masks) {
                     *a += st.expect_masked(m);
                 }
             },
         )?;
         Ok(time_engine_phase("reduction", || {
-            mean_from_parts(shots, paulis.len(), parts)
+            mean_from_parts(params.shots, paulis.len(), parts)
         }))
     }
 

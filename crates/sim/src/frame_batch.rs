@@ -54,8 +54,8 @@ use crate::noise::{damping_prob, dephasing_prob, t_phi_us};
 use crate::pauli_frame::{FramePlan, ItemOp};
 use crate::plan::{
     bern_theta, bern_threshold, damping_thresholds, fair_plane, lattice_idx, lattice_value,
-    lt_mask, lt_masks, map_batches, pick, plane, shot_key, site, site_draw, worker_count, PlanOp,
-    ShotParams, LATTICE_STEPS,
+    lt_mask, lt_masks, map_batches, map_chunks, pick, plane, shot_key, site, site_draw,
+    worker_count, PlanOp, ShotParams, LATTICE_STEPS,
 };
 use crate::result::{mean_from_parts, PauliFlips, RunResult};
 use crate::stabilizer::pauli_to_bits;
@@ -1371,15 +1371,15 @@ impl BatchPlan {
         StripOut { fx, fz, keys, wc }
     }
 
-    /// The strip fan-out behind every entry point: splits the run
-    /// into [`STRIP_SHOTS`]-shot strips, decides the qubit-shard count
-    /// once, polls `cancel` at the start of every strip, runs it, and
-    /// hands the finished strip and its active lane count to `reduce`
-    /// (timed as the reduction phase). Reductions come back in strip
-    /// order whatever the worker count, so a caller's merge — f64 sums
-    /// included — is bit-identical across worker counts. The first
-    /// error in strip order aborts the whole run with no partial
-    /// result.
+    /// The strip fan-out behind every entry point: runs the shots as
+    /// [`STRIP_SHOTS`]-shot strips through [`map_chunks`] (which polls
+    /// `cancel` at the start of every strip), decides the qubit-shard
+    /// count once, and hands each finished strip and its active lane
+    /// count to `reduce` (timed as the reduction phase). Reductions
+    /// come back in strip order whatever the worker count, so a
+    /// caller's merge — f64 sums included — is bit-identical across
+    /// worker counts. The first error in strip order aborts the whole
+    /// run with no partial result.
     fn map_strips<Out: Send>(
         &self,
         sim: &Simulator,
@@ -1395,17 +1395,10 @@ impl BatchPlan {
         } = params;
         let strips = shots.div_ceil(STRIP_SHOTS);
         let shards = crate::shard::shard_count(self.n, strips, worker_count(workers, usize::MAX));
-        map_batches(strips, workers, |s| -> Result<Out, SimError> {
-            crate::cancel::check_opt(cancel)?;
-            let base = s * STRIP_SHOTS;
-            let active = STRIP_SHOTS.min(shots - base);
+        map_chunks(shots, STRIP_SHOTS, workers, cancel, |base, active| {
             let out = self.run_strip(sim, seed, base, active, ins, shards);
-            Ok(crate::obs_util::time_engine_phase("reduction", || {
-                reduce(&out, active)
-            }))
+            crate::obs_util::time_engine_phase("reduction", || reduce(&out, active))
         })
-        .into_iter()
-        .collect()
     }
 
     /// Shot-sampled classical counts over this prepared plan.
@@ -1503,19 +1496,11 @@ impl BatchPlan {
                 .collect()
         })?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            let mut flips = vec![vec![0u64; params.shots.div_ceil(LANES)]; paulis.len()];
-            for (s, per_obs) in partials.iter().enumerate() {
-                for (o, obs_words) in per_obs.iter().enumerate() {
-                    for (w, word) in obs_words.iter().enumerate() {
-                        flips[o][s * STRIP_WORDS + w] = *word;
-                    }
-                }
-            }
-            PauliFlips {
-                shots: params.shots,
-                refs: prepared.iter().map(|(r, _)| *r).collect(),
-                flips,
-            }
+            PauliFlips::from_blocks(
+                params.shots,
+                prepared.iter().map(|(r, _)| *r).collect(),
+                partials,
+            )
         }))
     }
 }

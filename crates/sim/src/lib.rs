@@ -35,10 +35,13 @@
 //! shot in every engine. The frame engines draw each decision as a
 //! counter-based hash of `(seed, shot, site)` ([`plan::shot_key`],
 //! [`plan::site_draw`]); the dense engine draws from fixed-size shot
-//! chunks with their own seeded streams ([`plan::map_shots`]). Either
-//! way results are independent of thread count and batching. Dynamical decoupling, twirling, and error
-//! compensation then work — or fail — for exactly the physical reasons
-//! laid out in the paper. [`Engine::Auto`] (the default) picks the
+//! chunks with their own seeded streams ([`plan::chunk_seed`]). All
+//! three engines run their shots through one fan-out
+//! ([`plan::map_chunks`]) and reduce block results in block order, so
+//! counts and expectations — dense f64 sums included — are
+//! bit-identical at every worker count. Dynamical decoupling,
+//! twirling, and error compensation then work — or fail — for exactly
+//! the physical reasons laid out in the paper. [`Engine::Auto`] (the default) picks the
 //! backend per circuit; see [`engine`] for the rules. Dispatch and
 //! execution are panic-free: unsupported circuits yield a structured
 //! [`SimError`].

@@ -81,8 +81,8 @@ use crate::executor::{pack_bits, Simulator};
 use crate::insert::InsertionSet;
 use crate::noise::{damping_prob, dephasing_prob, t_phi_us, ShotNoise};
 use crate::plan::{
-    bern_theta, bern_threshold, damping_thresholds, fair_plane, lt_lane, map_shots_indexed, pick,
-    shot_key, site, site_draw, ExecutionPlan, PlanOp, ShotParams,
+    bern_theta, bern_threshold, damping_thresholds, fair_plane, lt_lane, map_chunks, pick,
+    shot_key, site, site_draw, ExecutionPlan, PlanOp, ShotParams, CHUNK_SHOTS,
 };
 use crate::result::{mean_from_parts, PauliFlips, RunResult};
 use crate::stabilizer::{pack_pauli, pauli_from_bits, pauli_to_bits, Tableau};
@@ -904,24 +904,31 @@ impl FramePlan {
 }
 
 impl FramePlan {
-    /// Runs every shot over worker threads ([`map_shots_indexed`]),
-    /// handing `per_shot` the shot index and the shot's final frame
-    /// planes and classical bits.
+    /// Runs every shot in [`CHUNK_SHOTS`]-shot chunks ([`map_chunks`]),
+    /// handing `per_shot` the shot's offset within its chunk and the
+    /// shot's final frame planes and classical bits. Each chunk folds
+    /// into a fresh accumulator; chunks come back in chunk order.
     fn map_shots<Acc: Send>(
         &self,
         sim: &Simulator,
         ins: &InsertionSet,
         params: ShotParams<'_>,
-        new_acc: impl Fn() -> Acc + Sync,
+        new_acc: impl Fn(usize) -> Acc + Sync,
         per_shot: impl Fn(usize, (Vec<u64>, Vec<u64>, Vec<bool>), &mut Acc) + Sync,
     ) -> Result<Vec<Acc>, SimError> {
-        map_shots_indexed(
-            params.shots,
-            params.workers,
-            params.cancel,
-            new_acc,
-            |i, acc| per_shot(i, self.shot(sim, params.seed, i, ins), acc),
-        )
+        let ShotParams {
+            shots,
+            seed,
+            workers,
+            cancel,
+        } = params;
+        map_chunks(shots, CHUNK_SHOTS, workers, cancel, |start, len| {
+            let mut acc = new_acc(len);
+            for i in 0..len {
+                per_shot(i, self.shot(sim, seed, start + i, ins), &mut acc);
+            }
+            acc
+        })
     }
 
     /// Shot-sampled classical counts over this prepared plan.
@@ -937,7 +944,7 @@ impl FramePlan {
             sim,
             ins,
             params,
-            BTreeMap::new,
+            |_| BTreeMap::new(),
             |_, (_, _, bits), counts| {
                 *counts.entry(pack_bits(&bits, nbits)).or_insert(0) += 1;
             },
@@ -973,7 +980,7 @@ impl FramePlan {
             sim,
             ins,
             params,
-            || vec![0.0; prepared.len()],
+            |_| vec![0.0; prepared.len()],
             |_, (fx, fz, _), acc| {
                 for (o, (r, px, pz)) in prepared.iter().enumerate() {
                     if *r == 0 {
@@ -999,14 +1006,13 @@ impl FramePlan {
         params: ShotParams<'_>,
     ) -> Result<PauliFlips, SimError> {
         let prepared = self.prepare_observables(paulis);
-        let words = params.shots.div_ceil(64);
-        // Per-worker bitvectors cover disjoint shot indices, so the
-        // merge is a plain OR — order-independent and exact.
-        let parts = self.map_shots(
+        // Each chunk returns only its own words: chunk boundaries are
+        // word-aligned, so the blocks concatenate into the bitvector.
+        let blocks = self.map_shots(
             sim,
             ins,
             params,
-            || vec![vec![0u64; words]; prepared.len()],
+            |len| vec![vec![0u64; len.div_ceil(64)]; prepared.len()],
             |i, (fx, fz, _), acc| {
                 for (o, (_, px, pz)) in prepared.iter().enumerate() {
                     if anticommutes(&fx, &fz, px, pz) {
@@ -1016,19 +1022,11 @@ impl FramePlan {
             },
         )?;
         Ok(crate::obs_util::time_engine_phase("reduction", || {
-            let mut flips = vec![vec![0u64; words]; prepared.len()];
-            for part in parts {
-                for (acc, obs) in flips.iter_mut().zip(part.iter()) {
-                    for (a, w) in acc.iter_mut().zip(obs.iter()) {
-                        *a |= w;
-                    }
-                }
-            }
-            PauliFlips {
-                shots: params.shots,
-                refs: prepared.iter().map(|(r, _, _)| *r).collect(),
-                flips,
-            }
+            PauliFlips::from_blocks(
+                params.shots,
+                prepared.iter().map(|(r, _, _)| *r).collect(),
+                blocks,
+            )
         }))
     }
 }

@@ -222,10 +222,13 @@ impl ExecutionPlan {
     }
 }
 
-/// Fixed shot-block size: chunk boundaries (and therefore the dense
-/// engine's per-chunk RNG streams) are independent of the host's core
-/// count, so a seed reproduces the same counts on any machine.
-const CHUNK_SHOTS: usize = 128;
+/// Shot-block size of the dense and serial frame engines' runs
+/// through [`map_chunks`] (the batch engine uses its 256-shot strips).
+/// Block boundaries — and with them the dense engine's per-chunk
+/// [`chunk_seed`] streams — are fixed by the shot count alone, so a
+/// seed reproduces the same counts and expectations on any machine
+/// and at any worker count.
+pub const CHUNK_SHOTS: usize = 128;
 
 /// SplitMix64 finalizer: the avalanche permutation behind the
 /// counter-based noise stream.
@@ -495,143 +498,80 @@ pub fn worker_count(requested: Option<usize>, jobs: usize) -> usize {
     base.clamp(1, 16).min(jobs.max(1))
 }
 
-/// Runs `shots` across worker threads, handing the closure each
-/// global shot index. The serial Pauli-frame sampler derives every
-/// draw from `(seed, shot, site)` (see [`shot_site_seed`]), so shot
-/// `i` sees the same noise no matter how shots are distributed over
-/// threads. Returns per-worker accumulators for the caller to merge.
-///
-/// `cancel` is polled at every chunk boundary: a cancelled or
-/// deadline-expired token stops all workers within one chunk of work
-/// and the whole call returns the structured error instead of a
-/// partial accumulation.
-pub fn map_shots_indexed<Acc: Send>(
-    shots: usize,
-    workers: Option<usize>,
-    cancel: Option<&crate::cancel::CancelToken>,
-    new_acc: impl Fn() -> Acc + Sync,
-    per_shot: impl Fn(usize, &mut Acc) + Sync,
-) -> Result<Vec<Acc>, SimError> {
-    let chunks = chunk_ranges(shots);
-    let workers = worker_count(workers, chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let chunks = &chunks;
-                let new_acc = &new_acc;
-                let per_shot = &per_shot;
-                scope.spawn(move || -> Result<Acc, SimError> {
-                    let mut acc = new_acc();
-                    for &(start, len) in chunks.iter().skip(w).step_by(workers) {
-                        crate::cancel::check_opt(cancel)?;
-                        for i in start..start + len {
-                            per_shot(i, &mut acc);
-                        }
-                    }
-                    Ok(acc)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shot thread")) // ca-lint: allow(panic) -- fail-stop on worker panic; salvaging a partial batch would corrupt results
-            .collect()
-    })
-}
-
-/// Runs `jobs` independent batch jobs across worker threads and
-/// returns their outputs **in job order**, regardless of thread count
-/// or scheduling. Integer count merges are order-independent anyway;
-/// returning in job order additionally makes floating-point
-/// accumulations (expectation sums) bit-identical across worker
-/// counts, which the batch engine's determinism guarantee relies on.
+/// Runs `jobs` independent jobs across worker threads and returns
+/// their outputs **in job order**, regardless of thread count or
+/// scheduling: the single thread fan-out of the simulator. Integer
+/// count merges are order-independent anyway; returning in job order
+/// additionally makes floating-point accumulations (expectation sums)
+/// bit-identical across worker counts. When the pool resolves to one
+/// worker the jobs run inline on the caller's thread, so a pinned job
+/// spawns no thread at all.
 pub fn map_batches<Out: Send>(
     jobs: usize,
     workers: Option<usize>,
     run: impl Fn(usize) -> Out + Sync,
 ) -> Vec<Out> {
     let workers = worker_count(workers, jobs);
-    let slots: Vec<std::sync::Mutex<Option<Out>>> =
-        (0..jobs).map(|_| std::sync::Mutex::new(None)).collect();
+    if workers <= 1 {
+        return (0..jobs).map(run).collect();
+    }
+    // Outputs travel back over a channel tagged with their job index
+    // and are sorted into job order afterwards — no shared slots, no
+    // lock poisoning to reason about. A worker panic propagates when
+    // the scope joins, so a short output vector is unobservable.
+    let (tx, rx) = std::sync::mpsc::channel();
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let slots = &slots;
+            let tx = tx.clone();
             let run = &run;
             scope.spawn(move || {
                 for j in (w..jobs).step_by(workers) {
-                    let out = run(j);
-                    *slots[j].lock().expect("batch slot") = Some(out); // ca-lint: allow(panic) -- fail-stop on poisoned slot; determinism-critical state is unreliable after a panic
+                    // The receiver outlives the scope; a failed send
+                    // is unreachable and safely ignorable.
+                    let _ = tx.send((j, run(j)));
                 }
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("batch slot").expect("batch output")) // ca-lint: allow(panic) -- fail-stop on poisoned slot; determinism-critical state is unreliable after a panic
-        .collect()
+    drop(tx);
+    let mut out: Vec<(usize, Out)> = rx.into_iter().collect();
+    out.sort_by_key(|&(j, _)| j);
+    out.into_iter().map(|(_, o)| o).collect()
 }
 
-/// Splits `shots` into fixed-size ranges (machine-independent).
-pub fn chunk_ranges(shots: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < shots {
-        let len = CHUNK_SHOTS.min(shots - start);
-        out.push((start, len));
-        start += len;
-    }
-    out
+/// The shot fan-out of all three engines: splits `shots` into
+/// fixed-size blocks of `chunk_shots`, runs each block as
+/// `run(start, len)` through [`map_batches`], and returns the block
+/// outputs **in block order**. Block boundaries depend on the shot
+/// count alone, never on the worker count, and callers reduce the
+/// outputs in the order given — so counts, expectations (f64 sums
+/// included) and flips are bit-identical for every worker count.
+///
+/// `cancel` is polled before every block: a cancelled or
+/// deadline-expired token stops the run within one block of work per
+/// worker, and the call returns the structured error instead of a
+/// partial result.
+pub fn map_chunks<Out: Send>(
+    shots: usize,
+    chunk_shots: usize,
+    workers: Option<usize>,
+    cancel: Option<&crate::cancel::CancelToken>,
+    run: impl Fn(usize, usize) -> Out + Sync,
+) -> Result<Vec<Out>, SimError> {
+    map_batches(shots.div_ceil(chunk_shots), workers, |b| {
+        crate::cancel::check_opt(cancel)?;
+        let start = b * chunk_shots;
+        Ok(run(start, chunk_shots.min(shots - start)))
+    })
+    .into_iter()
+    .collect()
 }
 
-/// The per-chunk RNG seed: decorrelates chunks deterministically.
+/// The dense engine's per-chunk RNG seed: decorrelates the
+/// sequential streams of its [`CHUNK_SHOTS`]-shot chunks
+/// deterministically.
 pub fn chunk_seed(seed: u64, start: usize) -> u64 {
     seed.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(start as u64 + 1))
-}
-
-/// Runs `shots` across scoped worker threads. Chunk boundaries and
-/// per-chunk RNG streams are fixed by the seed alone (workers pick up
-/// chunks in a strided pattern), so classical counts are bit-for-bit
-/// reproducible across machines; floating-point accumulations are
-/// reproducible up to summation order. Returns the per-worker
-/// accumulators for the caller to merge. The single fan-out used by
-/// both engines' `run_counts` and `expect_paulis`.
-///
-/// `cancel` is polled at every chunk boundary, as in
-/// [`map_shots_indexed`].
-pub fn map_shots<Acc: Send>(
-    shots: usize,
-    seed: u64,
-    cancel: Option<&crate::cancel::CancelToken>,
-    new_acc: impl Fn() -> Acc + Sync,
-    per_shot: impl Fn(&mut rand::rngs::StdRng, &mut Acc) + Sync,
-) -> Result<Vec<Acc>, SimError> {
-    use rand::SeedableRng;
-    let chunks = chunk_ranges(shots);
-    let workers = worker_count(None, chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let chunks = &chunks;
-                let new_acc = &new_acc;
-                let per_shot = &per_shot;
-                scope.spawn(move || -> Result<Acc, SimError> {
-                    let mut acc = new_acc();
-                    for &(start, len) in chunks.iter().skip(w).step_by(workers) {
-                        crate::cancel::check_opt(cancel)?;
-                        let mut rng = rand::rngs::StdRng::seed_from_u64(chunk_seed(seed, start));
-                        for _ in 0..len {
-                            per_shot(&mut rng, &mut acc);
-                        }
-                    }
-                    Ok(acc)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shot thread")) // ca-lint: allow(panic) -- fail-stop on worker panic; salvaging a partial batch would corrupt results
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -666,18 +606,19 @@ mod tests {
     #[test]
     fn chunks_cover_all_shots() {
         for shots in [1usize, 7, 100, 1001] {
-            let chunks = chunk_ranges(shots);
+            let chunks = map_chunks(shots, CHUNK_SHOTS, Some(3), None, |s, len| (s, len)).unwrap();
             let covered: usize = chunks.iter().map(|&(_, len)| len).sum();
             assert_eq!(covered, shots);
+            assert!(chunks.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0));
             assert_eq!(chunks[0].0, 0);
         }
     }
 }
 
-/// Shot-loop parameters shared by the frame engines' counts,
+/// Shot-loop parameters shared by every engine's counts,
 /// expectation and flips entry points: shot count, run seed, worker
 /// spread, and an optional cooperative cancel token polled at
-/// chunk/strip boundaries.
+/// chunk/strip boundaries (see [`map_chunks`]).
 #[derive(Clone, Copy)]
 pub(crate) struct ShotParams<'a> {
     pub shots: usize,

@@ -38,10 +38,11 @@ pub(crate) fn mean_from_parts(
 
 impl RunResult {
     /// Builds a result by merging partial count maps — the single
-    /// aggregation point for every engine's shot fan-out (per-worker
-    /// maps from the serial samplers, per-64-shot-word maps from the
-    /// batch engine). Integer merges are order-independent, so the
-    /// result is identical for any partitioning of the same shots.
+    /// aggregation point for every engine's shot fan-out (per-chunk
+    /// maps from the dense and serial frame engines, per-strip maps
+    /// from the batch engine). Integer merges are order-independent,
+    /// so the result is identical for any partitioning of the same
+    /// shots.
     pub fn from_parts(
         shots: usize,
         num_clbits: usize,
@@ -139,6 +140,24 @@ impl PauliFlips {
         } else {
             r
         }
+    }
+
+    /// Assembles the flips of a run from its shot blocks, given in
+    /// block order: `blocks[b][obs]` holds observable `obs`'s flip
+    /// words for block `b`'s shots. Every block but the last must span
+    /// a whole number of 64-shot words (both frame engines' block
+    /// sizes do), so the blocks concatenate into each observable's
+    /// bitvector.
+    pub(crate) fn from_blocks(shots: usize, refs: Vec<i32>, blocks: Vec<Vec<Vec<u64>>>) -> Self {
+        let words = shots.div_ceil(64);
+        let mut flips: Vec<Vec<u64>> = refs.iter().map(|_| Vec::with_capacity(words)).collect();
+        for block in blocks {
+            for (words, block_words) in flips.iter_mut().zip(block) {
+                words.extend(block_words);
+            }
+        }
+        debug_assert!(flips.iter().all(|w| w.len() == words));
+        Self { shots, refs, flips }
     }
 
     /// Mean outcome of observable `obs` over all shots — equals the

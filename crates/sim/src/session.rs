@@ -135,19 +135,24 @@ impl CompiledCircuit {
         .name()
     }
 
-    /// The shot-loop parameters of one run of this artifact.
+    /// The shot-loop parameters of one run of this artifact. A run
+    /// of zero shots has no mean and no distribution, so it is
+    /// refused here, for every engine, as [`SimError::ZeroShots`].
     fn params<'a>(
         &self,
         shots: usize,
         workers: Option<usize>,
         cancel: Option<&'a CancelToken>,
-    ) -> ShotParams<'a> {
-        ShotParams {
+    ) -> Result<ShotParams<'a>, SimError> {
+        if shots == 0 {
+            return Err(SimError::ZeroShots);
+        }
+        Ok(ShotParams {
             shots,
             seed: self.seed,
             workers,
             cancel,
-        }
+        })
     }
 
     /// The dense engine's refusal of per-shot Pauli insertions.
@@ -188,11 +193,11 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<RunResult, SimError> {
-        let params = self.params(shots, workers, cancel);
+        let params = self.params(shots, workers, cancel)?;
         match &self.backend {
             CompiledBackend::Dense => {
                 Self::dense_insertions(ins)?;
-                self.sim.dense_counts(&self.plan, shots, self.seed, cancel)
+                self.sim.dense_counts(&self.plan, params)
             }
             CompiledBackend::Serial(frame) => frame.counts(&self.sim, ins, params),
             CompiledBackend::Batch(batch) => batch.counts(&self.sim, ins, params),
@@ -221,12 +226,11 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<f64>, SimError> {
-        let params = self.params(shots, workers, cancel);
+        let params = self.params(shots, workers, cancel)?;
         match &self.backend {
             CompiledBackend::Dense => {
                 Self::dense_insertions(ins)?;
-                self.sim
-                    .dense_expectations(&self.plan, paulis, shots, self.seed, cancel)
+                self.sim.dense_expectations(&self.plan, paulis, params)
             }
             CompiledBackend::Serial(frame) => frame.expectations(&self.sim, paulis, ins, params),
             CompiledBackend::Batch(batch) => batch.expectations(&self.sim, paulis, ins, params),
@@ -255,7 +259,7 @@ impl CompiledCircuit {
         workers: Option<usize>,
         cancel: Option<&CancelToken>,
     ) -> Result<PauliFlips, SimError> {
-        let params = self.params(shots, workers, cancel);
+        let params = self.params(shots, workers, cancel)?;
         match &self.backend {
             CompiledBackend::Dense => Err(SimError::UnsupportedOnEngine {
                 engine: "statevector",
@@ -1005,32 +1009,19 @@ impl Session {
         // Queue wait = time from submission until a worker picks the
         // job up; the clock is read only when observability is on.
         let submitted = ca_obs::enabled().then(std::time::Instant::now); // ca-lint: allow(wall-clock) -- obs-gated timing attribution; never feeds results
-        if jobs.len() <= 1 {
-            // A lone job runs inline with the full shot-level fan-out
-            // (the batch path below pins inner workers to one thread),
-            // through the same span/gauge/histogram instrumentation as
-            // every other submission.
-            return jobs
-                .iter()
-                .zip(&tokens)
-                .map(|(job, token)| {
-                    if let Some(t0) = submitted {
-                        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        ca_obs::observe_ns("session", "job.queue_wait", ns);
-                    }
-                    self.run_caught(job, None, token.as_ref())
-                })
-                .collect();
-        }
-        // Jobs occupy the worker threads; pin each job's inner shot
-        // fan-out to one thread to avoid oversubscription. (Results
-        // are worker-count independent either way.)
+
+        // Batched jobs occupy the worker threads, so each job's shot
+        // fan-out is pinned to one worker (run inline, no thread) to
+        // avoid oversubscription; a lone job keeps the full fan-out.
+        // Every engine's results are worker-count independent, so the
+        // pin never shows up in a result.
+        let inner = if jobs.len() > 1 { Some(1) } else { None };
         map_batches(jobs.len(), None, |i| {
             if let Some(t0) = submitted {
                 let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 ca_obs::observe_ns("session", "job.queue_wait", ns);
             }
-            self.run_caught(&jobs[i], Some(1), tokens[i].as_ref())
+            self.run_caught(&jobs[i], inner, tokens[i].as_ref())
         })
     }
 
@@ -1084,6 +1075,11 @@ mod tests {
             dev.calibration.qubits[q].gate_err_1q = 0.002;
         }
         Simulator::with_engine(dev, NoiseConfig::default(), Engine::FrameBatch)
+    }
+
+    fn dense_sim(n: usize) -> Simulator {
+        let noisy = noisy_sim(n);
+        Simulator::with_engine(noisy.device, noisy.config, Engine::Statevector)
     }
 
     fn workload(n: usize) -> ScheduledCircuit {
@@ -1174,6 +1170,21 @@ mod tests {
             .collect();
         let serial: Vec<_> = jobs.iter().map(|j| session.run(j).unwrap()).collect();
         let parallel: Vec<_> = session
+            .submit(&jobs)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(serial, parallel, "job fan-out must not change results");
+
+        // The dense engine too: `run` spreads each 400-shot job's four
+        // chunks over the default worker pool, `submit` pins it to
+        // one worker.
+        let dense = Session::with_capacity(dense_sim(5), 16);
+        let jobs: Vec<Job> = (0..3)
+            .map(|i| Job::expect(sc.clone(), obs.clone(), 400, 200 + i as u64))
+            .collect();
+        let serial: Vec<_> = jobs.iter().map(|j| dense.run(j).unwrap()).collect();
+        let parallel: Vec<_> = dense
             .submit(&jobs)
             .into_iter()
             .map(|r| r.unwrap())

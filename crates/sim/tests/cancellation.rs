@@ -61,7 +61,7 @@ fn cancellation_is_observed_at_shot_chunk_boundaries() {
     // Drive the compiled artifact directly so the cancel fires inside
     // the worker fan-out (the session-level pre-check is bypassed),
     // proving the chunk-boundary poll works and the join is clean.
-    for engine in [Engine::Stabilizer, Engine::FrameBatch] {
+    for engine in [Engine::Statevector, Engine::Stabilizer, Engine::FrameBatch] {
         let session = noisy_session(3, engine);
         let compiled = session.compiled(&workload(3), 9).expect("compile");
         let token = CancelToken::new();

@@ -1,7 +1,7 @@
-//! Regression tests for `Session::submit`'s failure isolation and
-//! observability contract.
+//! Regression tests for the session layer's failure isolation,
+//! observability contract and shot-count check.
 //!
-//! Two bugs pinned here:
+//! Three bugs pinned here:
 //!
 //! * The single-job `submit` path used to return before the
 //!   `session/submit` span, the `session.workers` gauge, and the
@@ -12,11 +12,14 @@
 //!   take the whole `submit` batch (and its caller) down. A panic must
 //!   fail *that job* with [`SimError::JobPanicked`] and leave every
 //!   other job's result untouched.
+//! * A zero-shot run used to return `[NaN]` expectations and a count
+//!   result whose probabilities were NaN, on every engine. It must
+//!   fail with [`SimError::ZeroShots`] instead.
 
-use ca_circuit::{schedule_asap, Circuit, GateDurations, ScheduledCircuit};
+use ca_circuit::{schedule_asap, Circuit, GateDurations, PauliString, ScheduledCircuit};
 use ca_device::{uniform_device, Topology};
 use ca_sim::session::{Job, Session};
-use ca_sim::{Engine, NoiseConfig, SimError, Simulator};
+use ca_sim::{Engine, InsertionSet, NoiseConfig, SimError, Simulator};
 
 fn noisy_session(n: usize) -> Session {
     let mut dev = uniform_device(Topology::line(n), 60.0);
@@ -122,4 +125,43 @@ fn panicking_single_job_returns_structured_error() {
     session
         .run(&Job::counts(workload(2), 32, 3))
         .expect("session survives a panicked job");
+}
+
+#[test]
+fn zero_shots_is_a_structured_error_on_every_engine() {
+    let sc = workload(3);
+    let obs = [PauliString::parse("ZZI").unwrap()];
+    let none = InsertionSet::empty();
+    for engine in [Engine::Statevector, Engine::Stabilizer, Engine::FrameBatch] {
+        let dev = uniform_device(Topology::line(3), 60.0);
+        let sim = Simulator::with_engine(dev, NoiseConfig::default(), engine);
+        let compiled = sim.compile(&sc, 3).expect("compile");
+        assert_eq!(compiled.engine_name(), engine.name());
+        assert_eq!(
+            compiled.run_counts(0, &none, None),
+            Err(SimError::ZeroShots),
+            "{engine:?}"
+        );
+        assert_eq!(
+            compiled.expect_paulis(&obs, 0, &none, None),
+            Err(SimError::ZeroShots),
+            "{engine:?}"
+        );
+        assert_eq!(
+            compiled.expect_flips(&obs, 0, &none, None),
+            Err(SimError::ZeroShots),
+            "{engine:?}"
+        );
+        let session = Session::with_capacity(sim, 4);
+        for job in [
+            Job::counts(sc.clone(), 0, 3),
+            Job::expect(sc.clone(), obs.to_vec(), 0, 3),
+        ] {
+            assert_eq!(
+                session.run(&job),
+                Err(SimError::ZeroShots),
+                "{engine:?} job"
+            );
+        }
+    }
 }

@@ -103,9 +103,9 @@ fn noisy_frame_sim(n: usize) -> Simulator {
     Simulator::with_config(dev, NoiseConfig::default())
 }
 
-/// `sc` compiled on one frame engine: `Engine::Stabilizer` is the
-/// serial reference, `Engine::FrameBatch` the batch engine held to
-/// bit-identity with it.
+/// `sc` compiled on one pinned engine: `Engine::Stabilizer` is the
+/// serial frame reference, `Engine::FrameBatch` the batch engine held
+/// to bit-identity with it, `Engine::Statevector` the dense engine.
 fn frame(sim: &Simulator, engine: Engine, sc: &ScheduledCircuit, seed: u64) -> CompiledCircuit {
     Simulator::with_engine(sim.device.clone(), sim.config, engine)
         .compile(sc, seed)
@@ -280,6 +280,49 @@ fn batch_counts_and_expectations_identical_across_worker_counts() {
             .unwrap();
         assert_eq!(e1, got, "expectations differ at {workers} workers");
     }
+}
+
+/// Dense expectations are bit-identical at every worker count: each
+/// 128-shot chunk draws from its own seeded stream and chunk sums are
+/// merged in chunk order. CI runs this file at `CA_SIM_WORKERS=1`
+/// and `2`, so the default pool is pinned both ways; the constant
+/// catches any drift of the dense stream or its summation order.
+#[test]
+fn dense_expectations_identical_across_worker_counts() {
+    let sim = noisy_frame_sim(6);
+    let mut qc = Circuit::new(6, 0);
+    for q in 0..6 {
+        qc.h(q);
+    }
+    qc.ecr(0, 1).ecr(2, 3).ecr(4, 5);
+    qc.delay(700.0, 0).x(0).delay(700.0, 0);
+    qc.cx(1, 2).rz(0.4, 3).cz(3, 4);
+    let sc = schedule_asap(&qc, GateDurations::default());
+    let dense = frame(&sim, Engine::Statevector, &sc, 7);
+    let obs = [
+        PauliString::parse("ZZIIII").unwrap(),
+        PauliString::parse("IIXXII").unwrap(),
+    ];
+    let none = InsertionSet::empty();
+    let shots = 1000; // eight chunks, partial tail
+    let bits = |workers: Option<usize>| -> Vec<u64> {
+        dense
+            .expect_paulis(&obs, shots, &none, workers)
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    let one = bits(Some(1));
+    for workers in [Some(2), Some(3), None] {
+        assert_eq!(
+            bits(workers),
+            one,
+            "dense expectations differ at {workers:?}"
+        );
+    }
+    let expected = [4546980942154519697u64, 4580930678246359666];
+    assert_eq!(one, expected, "dense expectation bits shifted");
 }
 
 #[test]
